@@ -2,7 +2,6 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.core.local.{Metrics, Slugger}
-import repro.graph.LocalGraph
 
 /** One reproduction routine per table/figure of the evaluation section.
   * Jobs (spark-submit entrypoints) and bench suites both call these; every

@@ -14,15 +14,7 @@ import scala.util.Random
   * [[MinCover]] search. Edges below the panels are kept fixed.
   */
 final class MergeEngine(val st: MergeSubstrate) {
-
-  /** Outcome of one panel rewrite. `oldPanel` are the current edges inside
-    * the panel; if `keepOld` the panel is left untouched (non-rewritable
-    * corner cases), otherwise they are replaced by `solution`.
-    */
-  private final case class Rewrite(panel: Panel, oldPanel: List[Enc],
-                                   solution: MinCover.Solution, keepOld: Boolean) {
-    def newCost: Int = if (keepOld) oldPanel.size else solution.cost
-  }
+  import MergeEngine.Rewrite
 
   private def canon(x: Int, y: Int, sign: Int): Enc =
     if (x <= y) Enc(x, y, sign) else Enc(y, x, sign)
@@ -266,5 +258,17 @@ final class MergeEngine(val st: MergeSubstrate) {
       }
     }
     merges
+  }
+}
+
+object MergeEngine {
+
+  /** Outcome of one panel rewrite. `oldPanel` are the current edges inside
+    * the panel; if `keepOld` the panel is left untouched (non-rewritable
+    * corner cases), otherwise they are replaced by `solution`.
+    */
+  private final case class Rewrite(panel: Panel, oldPanel: List[Enc],
+                                   solution: MinCover.Solution, keepOld: Boolean) {
+    def newCost: Int = if (keepOld) oldPanel.size else solution.cost
   }
 }

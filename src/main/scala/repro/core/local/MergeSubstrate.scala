@@ -7,7 +7,9 @@ import scala.collection.mutable
   *
   * Implemented by the full [[SummaryState]] (local mode) and by
   * [[repro.core.spark.GroupState]] (executor-side view of one candidate set
-  * in the distributed mode).
+  * in the distributed mode). Both run the same `MergeEngine.processGroup`;
+  * the executor-side view records the pairs passed to [[newSuper]] as the
+  * merge decisions the driver replays.
   */
 trait MergeSubstrate {
   def famSize: mutable.HashMap[Int, Int]
@@ -23,7 +25,9 @@ trait MergeSubstrate {
   def heightOf(x: Int): Int
   def find(x: Int): Int
 
-  /** Allocate the merged supernode for roots a and b and wire hierarchy. */
+  /** Allocate the merged supernode for roots a and b and wire hierarchy.
+    * `MergeEngine.merge` calls it once per merge, with the merged pair.
+    */
   def newSuper(a: Int, b: Int): Int
 
   /** Encoding cost attributed to root A, Eq. (6). */

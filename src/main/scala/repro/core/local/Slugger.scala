@@ -33,17 +33,27 @@ object Slugger {
       summary.pPlus.size.toLong, summary.pMinus.size.toLong, summary.hEdgeCount)
   }
 
-  def summarize(g: LocalGraph, cfg: Config = Config()): Result = {
+  def summarize(g: LocalGraph, cfg: Config = Config()): Result = run(g, cfg) { (st, engine, t) =>
+    val groups = CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize)
+    val th = engine.theta(t, cfg.T)
+    val rng = new Random(cfg.seed * 31 + t)
+    groups.foldLeft(0L)((merges, d) => merges + engine.processGroup(d, th, rng, cfg.heightBound))
+  }
+
+  /** Algorithm 1's skeleton: initialize the state, run `iteration(st, engine,
+    * t)` for t = 1..T (it returns the number of merges it committed), then
+    * prune. [[summarize]] and [[repro.core.spark.SluggerSpark]] differ only
+    * in how one iteration finds its candidate sets and merges within them.
+    */
+  private[core] def run(g: LocalGraph, cfg: Config)
+                       (iteration: (SummaryState, MergeEngine, Int) => Long): Result = {
     val st = new SummaryState(g)
     val engine = new MergeEngine(st)
     val t0 = System.nanoTime()
     var merges = 0L
     var t = 1
     while (t <= cfg.T) {
-      val groups = CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize)
-      val th = engine.theta(t, cfg.T)
-      val rng = new Random(cfg.seed * 31 + t)
-      groups.foreach(d => merges += engine.processGroup(d, th, rng, cfg.heightBound))
+      merges += iteration(st, engine, t)
       t += 1
     }
     val t1 = System.nanoTime()

@@ -36,6 +36,8 @@ final case class GroupDecisions(groupKey: Long, merges: Seq[(Int, Int)])
   *
   * Neighbor (foreign) roots get stub entries so the shared [[MergeEngine]]
   * can update back-references; only group roots are ever merged here.
+  * [[newSuper]] records every merge in `merges`, the decision list replayed
+  * on the driver.
   */
 final class GroupState(task: GroupTask) extends MergeSubstrate {
   val famSize   = mutable.HashMap.empty[Int, Int]
@@ -45,11 +47,12 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
   val subCnt    = mutable.HashMap.empty[Int, mutable.HashMap[Int, Int]]
   val pairTotal = mutable.HashMap.empty[Int, Int]
 
+  /** Merged pairs in commit order; the k-th allocated temp id `idBase + k`. */
+  val merges = mutable.ArrayBuffer.empty[(Int, Int)]
+
   private val childrenMap = mutable.HashMap.empty[Int, Seq[Int]]
   private val heightMap = mutable.HashMap.empty[Int, Int]
-  private val parentMap = mutable.HashMap.empty[Int, Int] // for isRoot among tracked ids
-  private val uf = mutable.HashMap.empty[Int, Int]
-  private var nextId = task.idBase
+  private val parentMap = mutable.HashMap.empty[Int, Int] // merged ids only
 
   task.roots.foreach { r =>
     famSize(r.id) = r.famSize; szSub(r.id) = r.szSub
@@ -80,17 +83,16 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
 
   def find(x: Int): Int = {
     var r = x
-    while (uf.contains(r)) r = uf(r)
+    while (parentMap.contains(r)) r = parentMap(r)
     r
   }
 
   def newSuper(a: Int, b: Int): Int = {
-    val m = nextId
-    nextId += 1
+    val m = task.idBase + merges.length
+    merges += ((a, b))
     childrenMap(m) = Seq(a, b)
     heightMap(m) = math.max(heightOf(a), heightOf(b)) + 1
     parentMap(a) = m; parentMap(b) = m
-    uf(a) = m; uf(b) = m
     m
   }
 }
@@ -100,34 +102,8 @@ object GroupState {
   /** Run Algorithm 2 for one task, recording the merge decisions. */
   def run(task: GroupTask): GroupDecisions = {
     val gs = new GroupState(task)
-    val decisions = mutable.ArrayBuffer.empty[(Int, Int)]
-    val engine = new MergeEngine(gs)
-    val rng = new Random(task.rngSeed)
-    val q = mutable.ArrayBuffer.from(task.roots.map(_.id))
-    while (q.length > 1) {
-      val a = q.remove(rng.nextInt(q.length))
-      if (gs.isRoot(a)) {
-        var bestZ = -1
-        var bestS = Double.NegativeInfinity
-        var i = 0
-        while (i < q.length) {
-          val z = q(i)
-          if (gs.isRoot(z) && z != a &&
-              math.max(gs.heightOf(a), gs.heightOf(z)) + 1 <= task.heightBound &&
-              engine.closeEnough(a, z)) {
-            val s = engine.saving(a, z)
-            if (s > bestS) { bestS = s; bestZ = z }
-          }
-          i += 1
-        }
-        if (bestZ >= 0 && bestS >= task.theta) {
-          decisions += ((a, bestZ))
-          val m = engine.merge(a, bestZ)
-          q -= bestZ
-          q += m
-        }
-      }
-    }
-    GroupDecisions(task.groupKey, decisions.toSeq)
+    new MergeEngine(gs).processGroup(task.roots.map(_.id), task.theta,
+      new Random(task.rngSeed), task.heightBound)
+    GroupDecisions(task.groupKey, gs.merges.toSeq)
   }
 }

@@ -1,29 +1,31 @@
 package repro.core.spark
 
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
-import repro.core.local.{MergeEngine, Metrics, Pruner, Slugger, SummaryState}
-import repro.core.model.HierSummary
+import repro.core.local.{Slugger, SummaryState}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
 /** Distributed SLUGGER.
   *
   * The paper's reference implementation is single-machine; this variant maps
-  * it onto Spark dataflow:
+  * one iteration of its Algorithm 1 ([[Slugger.run]], shared with the local
+  * mode) onto Spark dataflow:
   *   - candidate generation runs as Catalyst plans over the edge and
   *     membership DataFrames ([[CandidateGenSpark]]),
   *   - the merging step — by far the dominant cost, Lemma 3 — fans out as a
-  *     Dataset of [[GroupTask]]s, one per candidate set, searched in parallel
-  *     on executors with the exact same [[MergeEngine]] as the local mode,
+  *     Dataset of [[GroupTask]]s, one per candidate set; each executor runs
+  *     the local mode's own Algorithm 2 (`MergeEngine.processGroup`) on a
+  *     [[GroupState]] snapshot, which records the merges it commits,
   *   - the resulting merge decisions are replayed into the authoritative
   *     driver-held state (cheap: one commit per accepted merge), keeping the
   *     encoding globally consistent without cross-group write conflicts,
   *   - decompression/verification runs as DataFrame joins
-  *     ([[HierSummary.decompressDF]]).
+  *     (`HierSummary.decompressDF`).
   *
   * Candidate sets partition the roots, so decisions from different groups
-  * never merge the same root; replay order only affects which Case-2 rewrite
-  * sees which neighbor state first, exactly as in the sequential algorithm.
+  * never merge the same root (replay asserts this); replay order only
+  * affects which Case-2 rewrite sees which neighbor state first, exactly as
+  * in the sequential algorithm.
   */
 object SluggerSpark {
 
@@ -33,8 +35,6 @@ object SluggerSpark {
     val edgesDense = LocalGraph.toDF(spark, g).cache()
     edgesDense.count()
 
-    val st = new SummaryState(g)
-    val engine = new MergeEngine(st)
     // Java serialization: kryo's reflective field access trips JPMS module
     // boundaries on JDK 17+ without --add-opens, which spark-submit sets but
     // a plain forked test JVM does not.
@@ -42,10 +42,7 @@ object SluggerSpark {
     implicit val decEnc = Encoders.javaSerialization[GroupDecisions]
     import spark.implicits._
 
-    val t0 = System.nanoTime()
-    var totalMerges = 0L
-    var t = 1
-    while (t <= cfg.T) {
+    val res = Slugger.run(g, cfg) { (st, engine, t) =>
       val rootIds = (0 until g.n).map(st.find)
       val members = (0 until g.n).map(u => (u, rootIds(u))).toDF("sub", "root")
       val assigned = CandidateGenSpark.assign(spark, edgesDense, members,
@@ -54,6 +51,8 @@ object SluggerSpark {
       val byGroup = assigned.groupBy(_._2).view.mapValues(_.map(_._1).toSeq).toMap
         .filter(_._2.lengthCompare(2) >= 0)
 
+      // every task is built before any replay, so all share this temp id base
+      val idBase = st.nSupers
       val theta = engine.theta(t, cfg.T)
       val tasks = byGroup.iterator.map { case (key, roots) =>
         buildTask(st, key, roots, theta, cfg.heightBound, cfg.seed * 31 + t)
@@ -64,38 +63,26 @@ object SluggerSpark {
         .collect()
 
       // replay decisions against the authoritative state, mapping the
-      // executors' temp ids (>= idBase = nSupers at task build time) to the
-      // real ids allocated here
-      val baseByKey = tasks.iterator.map(tk => tk.groupKey -> tk.idBase).toMap
+      // executors' temp ids to the real ids allocated here
       decisions.foreach { d =>
-        val idBase = baseByKey.getOrElse(d.groupKey, Int.MaxValue)
         val tempMap = mutable.HashMap.empty[Int, Int]
-        var k = 0
-        d.merges.foreach { case (a0, b0) =>
-          val a = st.find(tempMap.getOrElse(a0, a0))
-          val b = st.find(tempMap.getOrElse(b0, b0))
-          if (a != b && st.isRoot(a) && st.isRoot(b)) {
-            val m = engine.merge(a, b)
-            tempMap(idBase + k) = m
-            totalMerges += 1
-          }
-          k += 1
+        d.merges.iterator.zipWithIndex.foreach { case ((a0, b0), k) =>
+          val a = tempMap.getOrElse(a0, a0)
+          val b = tempMap.getOrElse(b0, b0)
+          require(a != b && st.isRoot(a) && st.isRoot(b),
+            s"group ${d.groupKey}, merge $k: ($a0, $b0) -> ($a, $b) does not join two live roots")
+          tempMap(idBase + k) = engine.merge(a, b)
         }
       }
-      t += 1
+      decisions.iterator.map(_.merges.length.toLong).sum
     }
-    val t1 = System.nanoTime()
-    val ps = Pruner.fromState(st)
-    val snaps = mutable.ArrayBuffer.empty[(String, Metrics)]
-    Pruner.prune(ps, g, cfg.pruneRounds, (label, met) => snaps += ((label, met)))
-    val t2 = System.nanoTime()
     edgesDense.unpersist()
-    Slugger.Result(ps.toSummary, snaps.toSeq, (t1 - t0) / 1000000, (t2 - t1) / 1000000, totalMerges)
+    res
   }
 
   /** Snapshot everything one candidate set needs (see [[GroupTask]]). */
-  private def buildTask(st: SummaryState, key: Long, rootIds: Seq[Int],
-                        theta: Double, heightBound: Int, rngSeed: Long): GroupTask = {
+  private[core] def buildTask(st: SummaryState, key: Long, rootIds: Seq[Int],
+                              theta: Double, heightBound: Int, rngSeed: Long): GroupTask = {
     val live = rootIds.map(st.find).distinct.filter(st.isRoot)
     val inGroup = live.toSet
     val roots = live.map { r =>

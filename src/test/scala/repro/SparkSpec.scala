@@ -7,10 +7,10 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. Broadcast joins are disabled, so the DataFrame paths
+  * under test (candidate generation, decompression, the DuckDB oracle
+  * comparisons) run as shuffle joins even on tiny unit-test graphs, as
+  * they would on inputs too large to broadcast.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -20,7 +20,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.encode.{Enc, MinCover, Panel}
+import repro.core.encode.{MinCover, Panel}
 
 /** Unit tests of the panel construction and the memoized min-cover search. */
 class EncoderSpec extends AnyFunSuite {

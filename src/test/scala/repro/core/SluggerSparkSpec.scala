@@ -74,6 +74,19 @@ class SluggerSparkSpec extends SparkSpec {
       s"local $local vs distributed $dist diverge")
   }
 
+  test("distributed SLUGGER is deterministic for fixed edges and Config") {
+    // maxGroupSize 16 < #roots also exercises bucket refinement and splitting
+    val edges = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
+    val cfg = Slugger.Config(T = 6, maxGroupSize = 16)
+    val r1 = SluggerSpark.summarize(spark, edges, cfg)
+    val r2 = SluggerSpark.summarize(spark, edges, cfg)
+    assert(r1.summary.pPlus == r2.summary.pPlus)
+    assert(r1.summary.pMinus == r2.summary.pMinus)
+    assert(r1.summary.parent.toSeq == r2.summary.parent.toSeq)
+    assert(r1.summary.alive.toSeq == r2.summary.alive.toSeq)
+    assert(r1.totalMerges == r2.totalMerges)
+  }
+
   test("DataFrame decompression of the distributed summary equals the input") {
     val edges = GraphGen.bipartiteCores(spark, 4, 4, 8, 20, seed = 11)
     val g = LocalGraph.fromDF(edges)
