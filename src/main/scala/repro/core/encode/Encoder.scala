@@ -45,9 +45,13 @@ object MinCover {
     */
   private val NodeBudget = 200000
 
-  /** Solve min-cost signed cover.
+  /** Solve min-cost signed cover. A memo hit never costs more than the
+    * caller's own `reproduce`: a search capped by `MaxDepth` or the node
+    * budget memoizes its first caller's encoding, which a later caller with
+    * the same key may beat.
     *
-    * @param shape     canonical id of the slot structure (drives the memo key)
+    * @param shape     the [[PanelShape]] code; it fixes `covers`, so the
+    *                  memo key (shape, targets) fixes the whole problem
     * @param covers    per slot, bitmask over constraint indices it covers
     * @param targets   required net per constraint
     * @param reproduce a known-feasible assignment (slotIdx, sign) reproducing
@@ -57,10 +61,12 @@ object MinCover {
             reproduce: List[(Int, Int)]): Solution = {
     val key = Key(shape, targets.toList)
     val hit = memo.get(key)
-    if (hit != null) return hit
-    val sol = search(covers, targets, reproduce)
-    memo.put(key, sol)
-    sol
+    if (hit == null) {
+      val sol = search(covers, targets, reproduce)
+      memo.put(key, sol)
+      sol
+    } else if (hit.cost > reproduce.size) Solution(reproduce.size, reproduce)
+    else hit
   }
 
   private def search(covers: Array[Long], targets: Array[Int],
@@ -129,33 +135,43 @@ object MinCover {
   }
 }
 
-/** A Case 1 or Case 2 panel: symbols, blocks, constraints, slots.
+/** The structure of a Case 1 or Case 2 panel: symbols, blocks, constraints
+  * and slots. It depends only on the shape code
+  * `kind<<20 | nA<<8 | nB<<4 | low` (kind 1: `low` marks Case 1's singleton
+  * blocks; kind 2: `low` is C's child count), so it is built once per code,
+  * the code the [[MinCover]] memo is keyed on.
   *
-  * Symbols are small indices over the concrete supernode ids involved. The
-  * caller maps old edges into symbol pairs; an edge with an endpoint outside
-  * the panel is *deep* and stays fixed — the paper's "while fixing the other
-  * p-edges and n-edges". Deep edges never cross a block pair that the panel
-  * rewrites (they sit strictly inside a single block, or their block-pair
-  * target already accounts for them via the old panel net).
+  * Symbols: 0=M, 1=A, 2=B, A's `nA` children, B's `nB` children, and in
+  * Case 2 then C and C's children. The blocks are each family's finest
+  * level (a childless root is its own block).
   *
   * `crossOnly` marks a Case 2 panel: only pairs between the two families are
   * constrained and only family-crossing edges may be placed.
   */
-final class Panel private (
-    val symIds: Array[Int],          // actual super ids per symbol (symbol 0 = merged node M, may be -1 when tentative)
-    val symParent: Array[Int],       // panel-internal parent symbol or -1
-    val symSide: Array[Int],         // 0 = merged family, 1 = neighbor family
-    val blocks: Array[Int],          // symbols forming the finest level
-    val blockSingleton: Array[Boolean],
-    val crossOnly: Boolean,
-    val shape: Int,
-) {
-  val nSym: Int = symIds.length
-  private val idToSym: Map[Int, Int] =
-    symIds.zipWithIndex.collect { case (id, s) if id >= 0 => id -> s }.toMap
+final class PanelShape private (val code: Int) {
+  private val nA = code >> 8 & 0xF
+  private val nB = code >> 4 & 0xF
+  val crossOnly: Boolean = code >> 20 == 2
+  private val nC = if (crossOnly) code & 0xF else 0
+  private val cSym = 3 + nA + nB
+  val nSym: Int = if (crossOnly) cSym + 1 + nC else cSym
 
-  /** Symbol of a concrete super id, or -1 if outside the panel (deep). */
-  def symOf(id: Int): Int = idToSym.getOrElse(id, -1)
+  /** Panel-internal parent symbol, or -1. */
+  val symParent: Array[Int] = Array.tabulate(nSym) { s =>
+    if (s == 0 || s == cSym) -1 else if (s <= 2) 0 else if (s < 3 + nA) 1
+    else if (s < cSym) 2 else cSym
+  }
+  /** 0 = merged family, 1 = neighbor family. */
+  val symSide: Array[Int] = Array.tabulate(nSym)(s => if (crossOnly && s >= cSym) 1 else 0)
+  val blocks: Array[Int] = {
+    def family(top: Int, first: Int, n: Int): Seq[Int] =
+      if (n == 0) Seq(top) else first until first + n
+    (family(1, 3, nA) ++ family(2, 3 + nA, nB) ++
+      (if (crossOnly) family(cSym, cSym + 1, nC) else Nil)).toArray
+  }
+  /** No within-block constraints cross-family, so Case 2 blocks count as singletons. */
+  val blockSingleton: Array[Boolean] =
+    Array.tabulate(blocks.length)(i => crossOnly || (code >> i & 1) == 1)
 
   private def containsSym(anc: Int, sym: Int): Boolean = {
     var s = sym
@@ -171,8 +187,7 @@ final class Panel private (
       i <- blocks.indices; j <- i + 1 until blocks.length
       if !crossOnly || symSide(blocks(i)) != symSide(blocks(j))
     } yield (i, j)).toArray
-  val sumBlocks: Array[Int] =
-    if (crossOnly) Array.empty else blocks.indices.filter(i => !blockSingleton(i)).toArray
+  val sumBlocks: Array[Int] = blocks.indices.filter(i => !blockSingleton(i)).toArray
   val nCons: Int = crossPairs.length + sumBlocks.length
 
   /** Coverage bitmask of an edge between panel symbols (x may equal y: loop). */
@@ -212,64 +227,65 @@ final class Panel private (
     out.toArray
   }
   val slotCovers: Array[Long] = slots.map { case (a, b) => coverOf(a, b) }
-  private val slotIndex: Map[(Int, Int), Int] =
-    slots.zipWithIndex.map { case (ab, i) => ab -> i }.toMap
+  private val slotIndex: Array[Int] = Array.tabulate(nSym * nSym) { k =>
+    slots.indexWhere { case (a, b) => k == a * nSym + b || k == b * nSym + a }
+  }
 
-  def slotOf(sx: Int, sy: Int): Int =
-    slotIndex.getOrElse(if (sx <= sy) (sx, sy) else (sy, sx), -1)
+  /** Slot of the position between two symbols, or -1 if it is not a slot. */
+  def slotOf(sx: Int, sy: Int): Int = slotIndex(sx * nSym + sy)
+}
+
+object PanelShape {
+  private val cache = new java.util.concurrent.ConcurrentHashMap[Int, PanelShape]()
+
+  def apply(code: Int): PanelShape = cache.computeIfAbsent(code, c => new PanelShape(c))
+}
+
+/** A concrete Case 1 or Case 2 panel: the super ids of its shape's symbols.
+  *
+  * The caller maps old edges into symbol pairs; an edge with an endpoint
+  * outside the panel is *deep* and stays fixed — the paper's "while fixing
+  * the other p-edges and n-edges". Deep edges never cross a block pair that
+  * the panel rewrites (they sit strictly inside a single block, or their
+  * block-pair target already accounts for them via the old panel net).
+  * Symbol 0 (M) carries no id (-1): no edge touches M before the merger.
+  */
+final class Panel private (symIds: Array[Int], val shape: PanelShape) {
+
+  /** Symbol of a concrete super id, or -1 if outside the panel (deep). */
+  def symOf(id: Int): Int = {
+    var s = 1
+    while (s < symIds.length && symIds(s) != id) s += 1
+    if (s < symIds.length) s else -1
+  }
+
+  /** The edge placed at `slot` with `sign`, with `m` as M's id. */
+  def edge(slot: Int, sign: Int, m: Int): Enc = {
+    val (sx, sy) = shape.slots(slot)
+    val x = if (sx == 0) m else symIds(sx)
+    val y = if (sy == 0) m else symIds(sy)
+    if (x <= y) Enc(x, y, sign) else Enc(y, x, sign)
+  }
 }
 
 object Panel {
 
-  /** Case 1 panel for merging roots A and B into M.
-    *
-    * Symbols: 0=M, 1=A, 2=B, then A's children, then B's children.
-    * Blocks: A's children (or A itself if a leaf) ++ B's likewise.
-    */
-  def internal(aChildren: Seq[Int], bChildren: Seq[Int],
-               aId: Int, bId: Int, mId: Int,
+  /** Case 1 panel for merging roots A and B into M. */
+  def internal(aChildren: Seq[Int], bChildren: Seq[Int], aId: Int, bId: Int,
                isLeafSuper: Int => Boolean): Panel = {
-    val syms = mutable.ArrayBuffer[Int](mId, aId, bId)
-    val par = mutable.ArrayBuffer[Int](-1, 0, 0)
-    val blocks = mutable.ArrayBuffer.empty[Int]
-    val single = mutable.ArrayBuffer.empty[Boolean]
-    def addSide(pSym: Int, ch: Seq[Int], selfId: Int): Unit = {
-      if (ch.isEmpty) { blocks += pSym; single += isLeafSuper(selfId) }
-      else ch.foreach { c =>
-        syms += c; par += pSym
-        blocks += (syms.length - 1); single += isLeafSuper(c)
-      }
-    }
-    addSide(1, aChildren, aId)
-    addSide(2, bChildren, bId)
-    val singleMask = single.zipWithIndex.map { case (s, i) => if (s) 1 << i else 0 }.sum
-    val shape = 1 << 20 | aChildren.length << 8 | bChildren.length << 4 | singleMask
-    new Panel(syms.toArray, par.toArray, Array.fill(syms.length)(0),
-              blocks.toArray, single.toArray, crossOnly = false, shape)
+    var singleMask = 0; var block = 0
+    def addBlock(id: Int): Unit = { if (isLeafSuper(id)) singleMask |= 1 << block; block += 1 }
+    if (aChildren.isEmpty) addBlock(aId) else aChildren.foreach(addBlock)
+    if (bChildren.isEmpty) addBlock(bId) else bChildren.foreach(addBlock)
+    new Panel(Array(-1, aId, bId) ++ aChildren ++ bChildren,
+              PanelShape(1 << 20 | aChildren.length << 8 | bChildren.length << 4 | singleMask))
   }
 
   /** Case 2 panel: the merged family {M, A, B, ch(A), ch(B)} versus a
     * neighbor root C's 1-level family {C, ch(C)}.
     */
-  def cross(aChildren: Seq[Int], bChildren: Seq[Int], aId: Int, bId: Int, mId: Int,
-            cId: Int, cChildren: Seq[Int]): Panel = {
-    val syms = mutable.ArrayBuffer[Int](mId, aId, bId)
-    val par = mutable.ArrayBuffer[Int](-1, 0, 0)
-    val side = mutable.ArrayBuffer[Int](0, 0, 0)
-    val blocks = mutable.ArrayBuffer.empty[Int]
-    def addLeft(pSym: Int, ch: Seq[Int]): Unit = {
-      if (ch.isEmpty) blocks += pSym
-      else ch.foreach { c => syms += c; par += pSym; side += 0; blocks += (syms.length - 1) }
-    }
-    addLeft(1, aChildren)
-    addLeft(2, bChildren)
-    val cSym = syms.length
-    syms += cId; par += -1; side += 1
-    if (cChildren.isEmpty) blocks += cSym
-    else cChildren.foreach { c => syms += c; par += cSym; side += 1; blocks += (syms.length - 1) }
-    val single = Array.fill(blocks.length)(true) // no within-block constraints cross-family
-    val shape = 2 << 20 | aChildren.length << 8 | bChildren.length << 4 | cChildren.length
-    new Panel(syms.toArray, par.toArray, side.toArray, blocks.toArray, single,
-              crossOnly = true, shape)
-  }
+  def cross(aChildren: Seq[Int], bChildren: Seq[Int], aId: Int, bId: Int,
+            cId: Int, cChildren: Seq[Int]): Panel =
+    new Panel(Array(-1, aId, bId) ++ aChildren ++ bChildren ++ (cId +: cChildren),
+              PanelShape(2 << 20 | aChildren.length << 8 | bChildren.length << 4 | cChildren.length))
 }

@@ -6,56 +6,71 @@ import scala.util.Random
 
 /** Greedy merging with simultaneous encoding updates (paper §III-B3).
   *
-  * For a (tentative or committed) merger of roots A and B the engine
-  *  - rewrites p/n-edges inside the merged family's top panel (Case 1),
-  *  - rewrites p/n-edges between that panel and every neighbor root's
-  *    1-level family (Case 2),
+  * For a merger of roots A and B the engine plans
+  *  - a rewrite of the p/n-edges inside the merged family's top panel (Case 1),
+  *  - a rewrite of the p/n-edges between that panel and every neighbor
+  *    root's 1-level family (Case 2),
   * picking, per panel, a minimum-size valid encoding through the memoized
-  * [[MinCover]] search. Edges below the panels are kept fixed.
+  * [[MinCover]] search. Edges below the panels are kept fixed. [[saving]]
+  * prices that plan and [[merge]] commits the same plan.
   */
 final class MergeEngine(val st: MergeSubstrate) {
-  import MergeEngine.Rewrite
+  import MergeEngine.{Plan, Rewrite}
 
-  private def canon(x: Int, y: Int, sign: Int): Enc =
-    if (x <= y) Enc(x, y, sign) else Enc(y, x, sign)
-
-  private def solvePanel(panel: Panel, edges: Iterator[Enc]): Rewrite = {
-    val netBySlot = new Array[Int](panel.slots.length)
-    val old = mutable.ListBuffer.empty[Enc]
+  /** The minimum rewrite of one panel's edges. A panel with an edge at a
+    * position that is not a legal slot, or with two edges on one slot, is
+    * kept as it is.
+    */
+  private def rewrite(panel: Panel, input: Iterator[Enc]): Rewrite = {
+    val shape = panel.shape
+    val netBySlot = new Array[Int](shape.slots.length)
+    val all = mutable.ArrayBuffer.empty[Enc]
+    val deep = mutable.ArrayBuffer.empty[Enc] // an endpoint outside the panel
     var clean = true
-    edges.foreach { e =>
+    input.foreach { e =>
+      all += e
       val sx = panel.symOf(e.x); val sy = panel.symOf(e.y)
-      if (sx >= 0 && sy >= 0) {
-        val s = panel.slotOf(sx, sy)
-        if (s < 0) clean = false // position not a legal slot: keep panel fixed
-        else { old += e; netBySlot(s) += e.sign }
-      } // else: deep edge, stays fixed and off the targets by construction
+      if (sx < 0 || sy < 0) deep += e
+      else {
+        val s = shape.slotOf(sx, sy)
+        if (s < 0) clean = false else netBySlot(s) += e.sign
+      }
     }
-    if (netBySlot.exists(n => n > 1 || n < -1)) clean = false
-    if (!clean || old.isEmpty)
-      return Rewrite(panel, old.toList, MinCover.Solution(old.size, Nil), keepOld = true)
-    val targets = new Array[Int](panel.nCons)
+    if (!clean || deep.length == all.length || netBySlot.exists(n => n > 1 || n < -1))
+      return Rewrite(panel, all, Nil)
+    val targets = new Array[Int](shape.nCons)
     val reproduce = mutable.ListBuffer.empty[(Int, Int)]
     var s = 0
     while (s < netBySlot.length) {
       val net = netBySlot(s)
       if (net != 0) {
         reproduce += ((s, net))
-        val cov = panel.slotCovers(s)
+        val cov = shape.slotCovers(s)
         var c = 0
-        while (c < panel.nCons) { if ((cov >> c & 1L) == 1L) targets(c) += net; c += 1 }
+        while (c < shape.nCons) { if ((cov >> c & 1L) == 1L) targets(c) += net; c += 1 }
       }
       s += 1
     }
-    val sol = MinCover.solve(panel.shape, panel.slotCovers, targets, reproduce.toList)
-    Rewrite(panel, old.toList, sol, keepOld = false)
+    Rewrite(panel, deep, MinCover.solve(shape.code, shape.slotCovers, targets, reproduce.toList).picks)
   }
 
-  private def picksToEdges(panel: Panel, picks: List[(Int, Int)]): List[Enc] =
-    picks.map { case (s, sign) =>
-      val (sx, sy) = panel.slots(s)
-      canon(panel.symIds(sx), panel.symIds(sy), sign)
-    }
+  /** The encoding update of merging roots a and b, read from the state
+    * without mutating it: the Case 1 rewrite of the merged family and one
+    * Case 2 rewrite per neighbor root. A Case 2 panel's input lists the
+    * larger pair map's edges first, the order in which [[merge]] joins them.
+    */
+  private def plan(a: Int, b: Int): Plan = {
+    val chA = st.childrenOf(a); val chB = st.childrenOf(b)
+    val pa = st.pairs(a); val pb = st.pairs(b)
+    val internal = rewrite(Panel.internal(chA, chB, a, b, st.isLeafSuper),
+      st.internal(a).iterator ++ st.internal(b).iterator ++ pa.get(b).iterator.flatten)
+    val (small, large) = if (pa.size <= pb.size) (pa, pb) else (pb, pa)
+    val cross = (large.keysIterator ++ small.keysIterator.filterNot(large.contains))
+      .filter(c => c != a && c != b)
+      .map(c => c -> rewrite(Panel.cross(chA, chB, a, b, c, st.childrenOf(c)),
+        large.get(c).iterator.flatten ++ small.get(c).iterator.flatten))
+    Plan(internal, cross.toSeq)
+  }
 
   // ------------------------------------------------------------- evaluation
 
@@ -84,47 +99,18 @@ final class MergeEngine(val st: MergeSubstrate) {
     * systematically out-compressed by SWEG on clique-dominated graphs.
     */
   private def afterCostDetailed(a: Int, b: Int): (Long, Long) = {
-    val chA = st.childrenOf(a); val chB = st.childrenOf(b)
-    val hAfter = (st.famSize(a) - 1L) + (st.famSize(b) - 1L) + 2L
-    val crossBuf = st.pairs(a).get(b)
-    val crossSize = crossBuf.map(_.length).getOrElse(0)
-
-    var incA = 0L; var incB = 0L // surviving edges incident to A / B themselves
-    def touches(e: Enc): Unit = {
+    val p = plan(a, b)
+    var edges = 0L
+    var incA = 0; var incB = 0 // surviving edges incident to A / B themselves
+    (p.internal +: p.cross.map(_._2)).foreach(_.edges(-1).foreach { e =>
+      edges += 1
       if (e.x == a || e.y == a) incA += 1
       if (e.x == b || e.y == b) incB += 1
-    }
-    def survey(r: Rewrite, inputs: Iterator[Enc]): Unit = {
-      if (r.keepOld) inputs.foreach(touches)
-      else {
-        val removed = r.oldPanel.toSet
-        inputs.filterNot(removed).foreach(touches)
-        picksToEdges(r.panel, r.solution.picks).foreach(touches)
-      }
-    }
-
-    val p1 = Panel.internal(chA, chB, a, b, -1, st.isLeafSuper)
-    val intIter = st.internal(a).iterator ++ st.internal(b).iterator ++
-      crossBuf.iterator.flatten
-    val r1 = solvePanel(p1, intIter)
-    survey(r1, st.internal(a).iterator ++ st.internal(b).iterator ++ crossBuf.iterator.flatten)
-    val intTotal = st.internal(a).length + st.internal(b).length + crossSize
-    var pAfter = (intTotal - r1.oldPanel.size + r1.newCost).toLong
-    val nbrs = (st.pairs(a).keysIterator ++ st.pairs(b).keysIterator)
-      .filter(c => c != a && c != b).toSet
-    nbrs.foreach { c =>
-      val bufA = st.pairs(a).get(c)
-      val bufB = st.pairs(b).get(c)
-      val total = bufA.map(_.length).getOrElse(0) + bufB.map(_.length).getOrElse(0)
-      val p2 = Panel.cross(chA, chB, a, b, -1, c, st.childrenOf(c))
-      val r2 = solvePanel(p2, bufA.iterator.flatten ++ bufB.iterator.flatten)
-      survey(r2, bufA.iterator.flatten ++ bufB.iterator.flatten)
-      pAfter += total - r2.oldPanel.size + r2.newCost
-    }
+    })
     var credit = 0L
-    if (chA.nonEmpty && incA == 0) credit += 1
-    if (chB.nonEmpty && incB == 0) credit += 1
-    (hAfter + pAfter, credit)
+    if (st.childrenOf(a).nonEmpty && incA == 0) credit += 1
+    if (st.childrenOf(b).nonEmpty && incB == 0) credit += 1
+    (st.famSize(a) + st.famSize(b) + edges, credit)
   }
 
   /** Saving(A, B, Ḡ) — Eq. (8): 1 - cost(after) / cost(before), with the
@@ -140,32 +126,18 @@ final class MergeEngine(val st: MergeSubstrate) {
 
   // ----------------------------------------------------------------- commit
 
-  /** Merge roots a and b, rewrite encodings, return the new root id. */
+  /** Merge roots a and b, commit the rewrites [[saving]] priced, return the
+    * new root id.
+    */
   def merge(a: Int, b: Int): Int = {
     require(st.isRoot(a) && st.isRoot(b) && a != b, s"merge($a,$b): not distinct roots")
-    val chA = st.childrenOf(a); val chB = st.childrenOf(b)
-
-    // detach the cross pair before allocating M
-    val crossBuf = st.pairs(a).remove(b) match {
-      case Some(buf) => st.pairs(b).remove(a); buf
-      case None      => mutable.ArrayBuffer.empty[Enc]
-    }
+    val p = plan(a, b)
+    st.pairs(a).remove(b); st.pairs(b).remove(a)
     val m = st.newSuper(a, b)
 
     // ---- Case 1: internal panel
-    val p1 = Panel.internal(chA, chB, a, b, m, st.isLeafSuper)
-    val r1 = solvePanel(p1, st.internal(a).iterator ++ st.internal(b).iterator ++ crossBuf.iterator)
-    val newInternal = mutable.ArrayBuffer.empty[Enc]
-    if (r1.keepOld) {
-      newInternal ++= st.internal(a) ++= st.internal(b) ++= crossBuf
-    } else {
-      val removed = r1.oldPanel.toSet
-      (st.internal(a).iterator ++ st.internal(b).iterator ++ crossBuf.iterator)
-        .filterNot(removed).foreach(newInternal += _)
-      newInternal ++= picksToEdges(p1, r1.solution.picks)
-    }
     st.internal.remove(a); st.internal.remove(b)
-    st.internal(m) = newInternal
+    st.internal(m) = mutable.ArrayBuffer.from(p.internal.edges(m))
 
     // ---- merge pair maps (smaller into larger), fix neighbors' back-refs
     val pa = st.pairs.remove(a).getOrElse(mutable.HashMap.empty)
@@ -199,17 +171,11 @@ final class MergeEngine(val st: MergeSubstrate) {
     st.subCnt(m) = largeS
 
     // ---- Case 2: cross panels toward every neighbor root
-    largeP.foreach { case (c, buf) =>
-      val p2 = Panel.cross(chA, chB, a, b, m, c, st.childrenOf(c))
-      val r2 = solvePanel(p2, buf.iterator)
-      if (!r2.keepOld) {
-        val removed = r2.oldPanel.toSet
-        val kept = buf.filterNot(removed)
-        val added = picksToEdges(p2, r2.solution.picks)
-        val delta = added.size - removed.size
-        buf.clear(); buf ++= kept ++= added
-        st.pairTotal(c) = st.pairTotal(c) + delta
-      }
+    p.cross.foreach { case (c, r) =>
+      val buf = largeP(c)
+      val before = buf.length
+      buf.clear(); buf ++= r.edges(m)
+      st.pairTotal(c) = st.pairTotal(c) + buf.length - before
     }
 
     // ---- counters
@@ -263,12 +229,16 @@ final class MergeEngine(val st: MergeSubstrate) {
 
 object MergeEngine {
 
-  /** Outcome of one panel rewrite. `oldPanel` are the current edges inside
-    * the panel; if `keepOld` the panel is left untouched (non-rewritable
-    * corner cases), otherwise they are replaced by `solution`.
+  /** One panel's rewrite: `kept` are the input edges it leaves in place
+    * (all of them when the panel is kept as it is), `picks` the (slot, sign)
+    * edges it places.
     */
-  private final case class Rewrite(panel: Panel, oldPanel: List[Enc],
-                                   solution: MinCover.Solution, keepOld: Boolean) {
-    def newCost: Int = if (keepOld) oldPanel.size else solution.cost
+  private final case class Rewrite(panel: Panel, kept: Iterable[Enc], picks: List[(Int, Int)]) {
+    /** The panel's edges after the rewrite, with `m` as M's id. */
+    def edges(m: Int): Iterator[Enc] =
+      kept.iterator ++ picks.iterator.map { case (s, sign) => panel.edge(s, sign, m) }
   }
+
+  /** The rewrites of one merger: Case 1, then Case 2 per neighbor root. */
+  private final case class Plan(internal: Rewrite, cross: Seq[(Int, Rewrite)])
 }

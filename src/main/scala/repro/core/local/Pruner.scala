@@ -120,9 +120,11 @@ object Pruner {
         val kids = ps.children(a).toArray
         kids.foreach { c =>
           ps.sign.get(ps.pack(c, b)) match {
-            case Some(es) if es == -s => ps.removeEdge(c, b)
-            case Some(_)              => // same-type edge would double-count; cannot occur in a valid state
-            case None                 => ps.addEdge(c, b, s)
+            case Some(es) =>
+              require(es == -s, s"step2: pushing root $a's edge to $b down to child $c " +
+                "would double an edge of the same sign")
+              ps.removeEdge(c, b)
+            case None => ps.addEdge(c, b, s)
           }
         }
         kids.foreach(c => ps.parent(c) = -1)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.local.{MergeEngine, SummaryState}
+import repro.core.local.{CandidateGen, MergeEngine, SummaryState}
 import repro.graph.LocalGraph
 import scala.util.Random
 
@@ -55,20 +55,72 @@ class MergeEngineSpec extends AnyFunSuite {
     assert(math.abs(e.saving(0, 1) - 0.25) < 1e-9)
   }
 
-  test("afterCost equals realized cost after commit") {
-    val rng = new Random(11)
-    val g = LocalGraph.fromEdges(Seq.fill(80)((rng.nextInt(25).toLong, rng.nextInt(25).toLong)))
+  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
+    val rng = new Random(seed)
+    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
+  }
+
+  /** Disjoint 10-cliques, each edge dropped with probability 0.15, plus
+    * noise: merged cliques may encode their missing edges as n-edges.
+    */
+  def gappyCliques(nCliques: Int, noise: Int, seed: Long): LocalGraph = {
+    val rng = new Random(seed)
+    val n = nCliques * 10
+    val cliques = for {
+      c <- 0 until nCliques; i <- 0 until 10; j <- i + 1 until 10 if rng.nextDouble() >= 0.15
+    } yield ((c * 10 + i).toLong, (c * 10 + j).toLong)
+    LocalGraph.fromEdges(cliques ++ Seq.fill(noise)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
+  }
+
+  /** Runs Algorithm 2 over T iterations of candidate sets, then replays its
+    * merges in commit order on a fresh state. Before each, `afterCost` must
+    * equal the merged root's cost once committed, and after each the
+    * summary must decompress to the input. Returns the number of merges
+    * checked and whether any n-edge appeared.
+    */
+  def checkEveryMerge(g: LocalGraph, seed: Long, heightBound: Int = Int.MaxValue): (Int, Boolean) = {
+    val bigT = 6
+    val run = new SummaryState(g)
+    val runEngine = new MergeEngine(run)
+    for (t <- 1 to bigT) {
+      val rng = new Random(seed * 31 + t)
+      CandidateGen.groups(run, seed + 7919L * t, maxSize = 16).foreach(d =>
+        runEngine.processGroup(d, runEngine.theta(t, bigT), rng, heightBound))
+    }
     val st = new SummaryState(g)
     val e = new MergeEngine(st)
-    val candidates = for {
-      a <- 0 until 10; b <- a + 1 until 10
-      if st.isRoot(a) && st.isRoot(b) && e.closeEnough(a, b)
-    } yield (a, b)
-    val (a, b) = candidates.head
-    val predicted = e.afterCost(a, b)
-    val m = e.merge(a, b)
-    assert(st.rootCost(m).toLong == predicted,
-      s"predicted $predicted vs actual ${st.rootCost(m)}")
+    var sawNEdge = false
+    (g.n until run.nSupers).foreach { m =>
+      val ch = run.childrenOf(m)
+      val predicted = e.afterCost(ch(0), ch(1))
+      assert(e.merge(ch(0), ch(1)) == m)
+      assert(st.rootCost(m).toLong == predicted,
+        s"merge $m of $ch: predicted $predicted vs actual ${st.rootCost(m)}")
+      assert(st.toSummary.decompress == g.edgeSet, s"merge $m of $ch is not lossless")
+      sawNEdge ||= st.allEdges.exists(_.sign < 0)
+    }
+    (run.nSupers - g.n, sawNEdge)
+  }
+
+  test("afterCost equals realized cost after commit") {
+    for (seed <- 1 to 4) {
+      val (merges, _) = checkEveryMerge(randomGraph(40, 120, seed), seed)
+      assert(merges > 0, s"seed $seed")
+    }
+  }
+
+  test("afterCost equals realized cost at every merge on cliques with missing edges") {
+    for (seed <- 1 to 3) {
+      val (merges, sawNEdge) = checkEveryMerge(gappyCliques(6, 15, seed), seed)
+      assert(merges > 0 && sawNEdge, s"seed $seed: $merges merges, n-edge placed: $sawNEdge")
+    }
+  }
+
+  test("afterCost equals realized cost at every merge under H_b=2") {
+    for (seed <- 1 to 3) {
+      assert(checkEveryMerge(randomGraph(40, 120, seed), seed, heightBound = 2)._1 > 0)
+      assert(checkEveryMerge(gappyCliques(6, 15, seed), seed, heightBound = 2)._1 > 0)
+    }
   }
 
   test("commit keeps the model lossless and updates the union-find") {
