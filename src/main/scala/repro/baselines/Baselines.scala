@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core.local.CandidateGen
-import repro.core.model.HierSummary
+import repro.core.model.{FlatModel, HierSummary}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 import scala.util.Random

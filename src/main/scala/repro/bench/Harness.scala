@@ -1,6 +1,8 @@
 package repro.bench
 
-import java.io.{File, PrintWriter}
+import java.io.File
+import java.nio.charset.StandardCharsets
+import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{MossoLite, Randomized, Sags, Sweg}
 import repro.core.local.Slugger
@@ -13,9 +15,7 @@ import repro.graph.LocalGraph
   */
 object Harness {
 
-  final case class Run(summary: HierSummary, millis: Long) {
-    def relSize(m: Long): Double = summary.cost.toDouble / m
-  }
+  final case class Run(summary: HierSummary, millis: Long)
 
   def timeIt[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
@@ -48,11 +48,17 @@ object Harness {
 
   /** Print a table and persist it under results/<name>.md. */
   def report(name: String, title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    val body = s"# $title\n\n" + markdown(header, rows)
-    println("\n" + body)
     val dir = new File("results")
     dir.mkdirs()
-    val pw = new PrintWriter(new File(dir, s"$name.md"))
-    try pw.write(body) finally pw.close()
+    println("\n" + save(new File(dir, s"$name.md"), title, header, rows))
+  }
+
+  /** Write a titled table to f as UTF-8, whatever the JVM's default
+    * charset, and return the text written.
+    */
+  def save(f: File, title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
+    val body = s"# $title\n\n" + markdown(header, rows)
+    Files.write(f.toPath, body.getBytes(StandardCharsets.UTF_8))
+    body
   }
 }

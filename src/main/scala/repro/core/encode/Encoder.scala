@@ -33,7 +33,6 @@ object MinCover {
 
   /** Number of distinct memoized cases so far (for the memoization bench). */
   def memoSize: Int = memo.size
-  def memoClear(): Unit = memo.clear()
 
   /** Search depth cap beyond which we fall back to reproducing the old
     * encoding verbatim (still valid, never worse than keep-old).

@@ -180,7 +180,6 @@ final class MergeEngine(val st: MergeSubstrate) {
 
     // ---- counters
     st.famSize(m) = st.famSize.remove(a).get + st.famSize.remove(b).get + 1
-    st.szSub(m) = st.szSub.remove(a).get + st.szSub.remove(b).get
     st.pairTotal.remove(a); st.pairTotal.remove(b)
     st.pairTotal(m) = largeP.valuesIterator.map(_.length).sum
     m

@@ -13,7 +13,6 @@ import scala.collection.mutable
   */
 trait MergeSubstrate {
   def famSize: mutable.HashMap[Int, Int]
-  def szSub: mutable.HashMap[Int, Int]
   def internal: mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]
   def pairs: mutable.HashMap[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
   def subCnt: mutable.HashMap[Int, mutable.HashMap[Int, Int]]

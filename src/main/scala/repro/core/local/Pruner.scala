@@ -1,6 +1,6 @@
 package repro.core.local
 
-import repro.core.model.HierSummary
+import repro.core.model.{FlatModel, HierSummary}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
@@ -8,6 +8,12 @@ import scala.collection.mutable
 final case class Metrics(relSize: Double, maxHeight: Int, avgLeafDepth: Double,
                          pCount: Long, nCount: Long, hCount: Long) {
   def cost: Long = pCount + nCount + hCount
+}
+
+object Metrics {
+  /** The metrics of summary s of a graph with m edges. */
+  def of(s: HierSummary, m: Long): Metrics = Metrics(
+    s.relativeSize(m), s.maxHeight, s.avgLeafDepth, s.pPlus.size.toLong, s.pMinus.size.toLong, s.hEdgeCount)
 }
 
 /** Mutable post-merge representation used by the pruning step: a plain
@@ -36,26 +42,11 @@ final class PruneState(val nSub: Int, val m: Long,
   }
 
   def hasLoop(x: Int): Boolean = inc(x).contains(x)
-  def nonLoopDegree(x: Int): Int = inc(x).size - (if (hasLoop(x)) 1 else 0)
 
   def topOf(x: Int): Int = { var r = x; while (parent(r) >= 0) r = parent(r); r }
 
-  def hCount: Long = parent.indices.count(x => alive(x) && parent(x) >= 0).toLong
-
-  def metrics: Metrics = {
-    var p = 0L; var n = 0L
-    sign.valuesIterator.foreach(s => if (s > 0) p += 1 else n += 1)
-    val h = hCount
-    val depths = (0 until nSub).map { u => var d = 0; var x = u; while (parent(x) >= 0) { d += 1; x = parent(x) }; d }
-    val maxH = heights
-    Metrics((p + n + h).toDouble / m, maxH, if (nSub == 0) 0 else depths.sum.toDouble / nSub, p, n, h)
-  }
-
-  private def heights: Int = {
-    def hOf(x: Int): Int = if (children(x).isEmpty) 0 else 1 + children(x).iterator.map(hOf).max
-    val roots = parent.indices.filter(x => alive(x) && parent(x) < 0)
-    if (roots.isEmpty) 0 else roots.iterator.map(hOf).max
-  }
+  /** Metrics of the current state (a Table IV snapshot). */
+  def metrics: Metrics = Metrics.of(toSummary, m)
 
   def toSummary: HierSummary = {
     val pp = mutable.ArrayBuffer.empty[(Int, Int)]
@@ -138,66 +129,37 @@ object Pruner {
     removed
   }
 
-  /** Step 3: per adjacent root pair, fall back to the flat (Navlakha-style)
-    * encoding — one p-edge plus singleton n-corrections, or plain subedges —
-    * whenever it beats the current hierarchical encoding (paper's Step 3).
+  /** Step 3: per adjacent root pair, switch to the flat model's encoding
+    * of the pair under the grouping "subnode -> its root" (one p-edge plus
+    * n-corrections, or plain subedges) whenever it has fewer edges than the
+    * current hierarchical encoding (paper's Step 3).
     */
   def step3(ps: PruneState, g: LocalGraph): Int = {
     val top = Array.tabulate(ps.nSub)(ps.topOf)
     val leavesByTop = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
     (0 until ps.nSub).foreach(u => leavesByTop.getOrElseUpdate(top(u), mutable.ArrayBuffer.empty) += u)
 
-    def pairKey(r1: Int, r2: Int): Long = ps.pack(r1, r2)
-
     // current edge positions grouped by root pair
     val curGroups = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
     ps.sign.keysIterator.foreach { k =>
       val x = (k >>> 32).toInt; val y = (k & 0xFFFFFFFFL).toInt
-      curGroups.getOrElseUpdate(pairKey(ps.topOf(x), ps.topOf(y)), mutable.ArrayBuffer.empty) += k
+      curGroups.getOrElseUpdate(ps.pack(ps.topOf(x), ps.topOf(y)), mutable.ArrayBuffer.empty) += k
     }
     // ground-truth subedges grouped by root pair
     val subGroups = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, Int)]]
     g.edges.foreach { case (u, v) =>
-      subGroups.getOrElseUpdate(pairKey(top(u), top(v)), mutable.ArrayBuffer.empty) += ((u, v))
+      subGroups.getOrElseUpdate(ps.pack(top(u), top(v)), mutable.ArrayBuffer.empty) += ((u, v))
     }
 
     var changed = 0
-    val allKeys = curGroups.keySet ++ subGroups.keySet
-    allKeys.foreach { k =>
+    (curGroups.keySet ++ subGroups.keySet).foreach { k =>
       val r1 = (k >>> 32).toInt; val r2 = (k & 0xFFFFFFFFL).toInt
-      val cur = curGroups.get(k).map(_.length).getOrElse(0)
-      val e = subGroups.get(k).map(_.length).getOrElse(0)
-      val s1 = leavesByTop.get(r1).map(_.length).getOrElse(0).toLong
-      val s2 = leavesByTop.get(r2).map(_.length).getOrElse(0).toLong
-      val t = if (r1 == r2) s1 * (s1 - 1) / 2 else s1 * s2
-      val flat = if (e == 0) 0L else math.min(e.toLong, 1L + t - e)
-      if (flat < cur) {
-        curGroups(k).foreach { pos =>
-          val x = (pos >>> 32).toInt; val y = (pos & 0xFFFFFFFFL).toInt
-          ps.removeEdge(x, y)
-        }
-        if (e > 0) {
-          if (e <= 1L + t - e) {
-            subGroups(k).foreach { case (u, v) => ps.addEdge(u, v, +1) }
-          } else {
-            ps.addEdge(r1, r2, +1)
-            val l1 = leavesByTop(r1)
-            if (r1 == r2) {
-              var i = 0
-              while (i < l1.length) {
-                var j = i + 1
-                while (j < l1.length) {
-                  if (!g.hasEdge(l1(i), l1(j))) ps.addEdge(l1(i), l1(j), -1)
-                  j += 1
-                }
-                i += 1
-              }
-            } else {
-              val l2 = leavesByTop(r2)
-              l1.foreach(u => l2.foreach(v => if (!g.hasEdge(u, v)) ps.addEdge(u, v, -1)))
-            }
-          }
-        }
+      val cur = curGroups.getOrElse(k, mutable.ArrayBuffer.empty[Long])
+      val sub = subGroups.getOrElse(k, mutable.ArrayBuffer.empty[(Int, Int)])
+      val (l1, l2) = (leavesByTop(r1), leavesByTop(r2))
+      if (FlatModel.pairCost(sub.length, l1.length, l2.length, r1 == r2) < cur.length) {
+        cur.foreach(pos => ps.removeEdge((pos >>> 32).toInt, (pos & 0xFFFFFFFFL).toInt))
+        FlatModel.encodePair(g, r1, l1, r2, l2, sub)(ps.addEdge)
         changed += 1
       }
     }

@@ -27,11 +27,7 @@ object Slugger {
     * @param pruneMillis prune-phase wall time
     */
   final case class Result(summary: HierSummary, snapshots: Seq[(String, Metrics)],
-                          mergeMillis: Long, pruneMillis: Long, totalMerges: Long) {
-    def metrics(m: Long): Metrics = Metrics(
-      summary.cost.toDouble / m, summary.maxHeight, summary.avgLeafDepth,
-      summary.pPlus.size.toLong, summary.pMinus.size.toLong, summary.hEdgeCount)
-  }
+                          mergeMillis: Long, pruneMillis: Long, totalMerges: Long)
 
   def summarize(g: LocalGraph, cfg: Config = Config()): Result = run(g, cfg) { (st, engine, t) =>
     val groups = CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize)

@@ -34,7 +34,6 @@ final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
 
   // --------------------------------------------------------- per-root state
   val famSize   = mutable.HashMap.empty[Int, Int]  // #supernodes in the tree
-  val szSub     = mutable.HashMap.empty[Int, Int]  // #subnodes in the tree
   val internal  = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Enc]]
   val pairs     = mutable.HashMap.empty[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
   val subCnt    = mutable.HashMap.empty[Int, mutable.HashMap[Int, Int]] // ground-truth subedge counts
@@ -43,7 +42,7 @@ final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
   // ------------------------------------------------------------------- init
   (0 until nSub).foreach { u =>
     parentB += -1; child1B += -1; child2B += -1; heightB += 0; ufB += u
-    famSize(u) = 1; szSub(u) = 1
+    famSize(u) = 1
     internal(u) = mutable.ArrayBuffer.empty
     pairs(u) = mutable.HashMap.empty
     subCnt(u) = mutable.HashMap.empty

@@ -23,7 +23,7 @@ final case class GroupTask(
     rngSeed: Long,
 )
 
-final case class RootInfo(id: Int, famSize: Int, szSub: Int, height: Int,
+final case class RootInfo(id: Int, famSize: Int, height: Int,
                           children: Seq[Int], internalEdges: Seq[Enc])
 
 /** The merge decisions an executor made for one group, in order. The k-th
@@ -41,7 +41,6 @@ final case class GroupDecisions(groupKey: Long, merges: Seq[(Int, Int)])
   */
 final class GroupState(task: GroupTask) extends MergeSubstrate {
   val famSize   = mutable.HashMap.empty[Int, Int]
-  val szSub     = mutable.HashMap.empty[Int, Int]
   val internal  = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Enc]]
   val pairs     = mutable.HashMap.empty[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
   val subCnt    = mutable.HashMap.empty[Int, mutable.HashMap[Int, Int]]
@@ -55,7 +54,7 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
   private val parentMap = mutable.HashMap.empty[Int, Int] // merged ids only
 
   task.roots.foreach { r =>
-    famSize(r.id) = r.famSize; szSub(r.id) = r.szSub
+    famSize(r.id) = r.famSize
     internal(r.id) = mutable.ArrayBuffer.from(r.internalEdges)
     childrenMap(r.id) = r.children
     heightMap(r.id) = r.height

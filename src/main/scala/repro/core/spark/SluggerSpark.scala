@@ -86,8 +86,7 @@ object SluggerSpark {
     val live = rootIds.map(st.find).distinct.filter(st.isRoot)
     val inGroup = live.toSet
     val roots = live.map { r =>
-      RootInfo(r, st.famSize(r), st.szSub(r), st.heightOf(r),
-               st.childrenOf(r), st.internal(r).toSeq)
+      RootInfo(r, st.famSize(r), st.heightOf(r), st.childrenOf(r), st.internal(r).toSeq)
     }
     val pairEncs = mutable.ArrayBuffer.empty[(Int, Int, Seq[repro.core.encode.Enc])]
     val nbrChildren = mutable.HashMap.empty[Int, Seq[Int]]

@@ -6,9 +6,10 @@ import org.apache.spark.sql.functions._
 /** Deterministic synthetic graph generators.
   *
   * The paper evaluates on 16 real-world graphs (Table II). Those corpora are
-  * not available offline, so each is substituted with a synthetic generator
-  * whose structure exercises the same code paths (hierarchical communities,
-  * cliques, stars/hubs, scale-free tails, near-random noise). All generators
+  * not available offline, so each is substituted with one of three synthetic
+  * generators whose structure exercises the same code paths: clique unions,
+  * complete bipartite cores and scale-free tails, each with near-random
+  * noise (see `repro.bench.Datasets`). All generators
   * are pure functions of their arguments: node/edge identities derive from
   * `xxhash64` over row ids, never from `rand()`, so re-runs (and the DuckDB
   * oracle) see identical graphs.
@@ -43,7 +44,7 @@ object GraphGen {
 
   /** Scale-free-ish graph: node u links to ~d earlier nodes with a bias
     * toward low ids (early nodes accumulate degree, like preferential
-    * attachment). Stands in for social/internet topologies (CA, YO, LJ, SK, ES).
+    * attachment). Stands in for the barely compressible topologies (CA, YO).
     */
   def prefAttach(spark: SparkSession, n: Long, d: Int, seed: Long = 11): DataFrame = {
     val rows = spark.range(1, n).selectExpr(s"id as u", s"explode(sequence(0, ${d - 1})) as j")
@@ -55,33 +56,9 @@ object GraphGen {
     ))
   }
 
-  /** Hierarchical stochastic block model (edge-sampled).
-    *
-    * `n` leaves sit in a complete `branching`-ary hierarchy of `levels`
-    * levels. For each level l (0 = coarsest) we hash-sample `mPerLevel(l)`
-    * edges whose endpoints share a level-l block. Deeper levels get denser
-    * blocks, giving the nested group-subgroup structure SLUGGER exploits.
-    * Stands in for PR / FA / EM / DB / AM.
-    */
-  def hierSBM(spark: SparkSession, n: Long, branching: Int, levels: Int,
-              mPerLevel: Seq[Long], seed: Long = 13): DataFrame = {
-    require(mPerLevel.size == levels, "need one edge budget per level")
-    val frames = (0 until levels).map { l =>
-      val blocks = math.max(1L, math.pow(branching.toDouble, (l + 1).toDouble).toLong)
-      val blockSz = math.max(1L, n / blocks)
-      val m = mPerLevel(l)
-      val draws = spark.range(m)
-      val b = draw(col("id"), seed + 101 * l, blocks)
-      draws.select(
-        (b * blockSz + draw(col("id"), seed + 101 * l + 1, blockSz)).as("src"),
-        (b * blockSz + draw(col("id"), seed + 101 * l + 2, blockSz)).as("dst"),
-      )
-    }
-    canonical(frames.reduce(_ unionByName _))
-  }
-
   /** Union of `nCliques` cliques of `cliqueSize` plus `bridges` random edges.
-    * Collaboration-style graph (HO) — highly compressible.
+    * Stands in for FA, EM, DB, AM, CN, SK, ES, LJ and HO; the noise share
+    * sets how compressible it is.
     */
   def cliqueUnion(spark: SparkSession, nCliques: Long, cliqueSize: Int,
                   bridges: Long, seed: Long = 17): DataFrame = {
@@ -100,24 +77,10 @@ object GraphGen {
     canonical(cliques.unionByName(extra))
   }
 
-  /** Union of stars (hub + leaves) plus noise — hyperlink-ish hub structure. */
-  def starUnion(spark: SparkSession, nStars: Long, leavesEach: Int,
-                noise: Long, seed: Long = 19): DataFrame = {
-    val span = (leavesEach + 1).toLong
-    val n = nStars * span
-    val stars = spark.range(nStars).toDF("s")
-      .crossJoin(spark.range(1, span).toDF("l"))
-      .select((col("s") * span).as("src"), (col("s") * span + col("l")).as("dst"))
-    val extra = spark.range(noise).select(
-      draw(col("id"), seed, n).as("src"),
-      draw(col("id"), seed + 1, n).as("dst"),
-    )
-    canonical(stars.unionByName(extra))
-  }
-
   /** Union of complete bipartite cores K_{a,b} plus noise. Bipartite cores
     * are the dominant compressible structure of hyperlink graphs: a core
     * costs a*b subedges but only a+b h-edges plus one p-edge in the summary.
+    * Stands in for PR and the hyperlink graphs EU, IC, U2 and U5.
     */
   def bipartiteCores(spark: SparkSession, nCores: Long, a: Int, b: Int,
                      noise: Long, seed: Long = 29): DataFrame = {
@@ -133,35 +96,5 @@ object GraphGen {
       draw(col("id"), seed + 1, n).as("dst"),
     )
     canonical(cores.unionByName(extra))
-  }
-
-  /** Web-like mixture: hierarchical blocks + cliques + stars + noise.
-    * Stands in for the hyperlink corpora (CN, EU, IC, U2, U5) whose
-    * summaries in the paper are very small (relative size 0.1–0.2).
-    * All four parts are drawn over one shared id space of `n` nodes.
-    */
-  def webLite(spark: SparkSession, n: Long, mCliquePart: Long, mStarPart: Long,
-              mNoise: Long, seed: Long = 23): DataFrame = {
-    // Cliques over chunks of 16 ids, sampled so that clique pair coverage is dense.
-    val cliqueSz = 16L
-    val cliqueDraws = spark.range(mCliquePart)
-    val c = draw(col("id"), seed, n / cliqueSz)
-    val cliquePart = cliqueDraws.select(
-      (c * cliqueSz + draw(col("id"), seed + 1, cliqueSz)).as("src"),
-      (c * cliqueSz + draw(col("id"), seed + 2, cliqueSz)).as("dst"),
-    )
-    // Stars: hubs are ids ≡ 0 (mod 64); leaves hash into the hub's span.
-    val span = 64L
-    val starDraws = spark.range(mStarPart)
-    val hub = draw(col("id"), seed + 3, n / span) * span
-    val starPart = starDraws.select(
-      hub.as("src"),
-      (hub + draw(col("id"), seed + 4, span)).as("dst"),
-    )
-    val noisePart = spark.range(mNoise).select(
-      draw(col("id"), seed + 5, n).as("src"),
-      draw(col("id"), seed + 6, n).as("dst"),
-    )
-    canonical(cliquePart.unionByName(starPart).unionByName(noisePart))
   }
 }

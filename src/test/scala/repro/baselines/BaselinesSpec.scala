@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.model.FlatModel
 import repro.graph.LocalGraph
 import scala.util.Random
 

@@ -1,0 +1,20 @@
+package repro.bench
+
+import java.nio.charset.StandardCharsets
+import java.nio.file.Files
+import org.scalatest.funsuite.AnyFunSuite
+
+/** Result persistence of the per-table benches. */
+class HarnessSpec extends AnyFunSuite {
+
+  test("report files are UTF-8 whatever the default charset") {
+    val f = Files.createTempFile("harness", ".md").toFile
+    try {
+      val title = "Fig. 5/1(a) — relative size"
+      val body = Harness.save(f, title, Seq("Data", "rel"), Seq(Seq("CA", "0.875")))
+      val back = new String(Files.readAllBytes(f.toPath), StandardCharsets.UTF_8)
+      assert(back == body)
+      assert(back.linesIterator.next() == s"# $title")
+    } finally f.delete()
+  }
+}

