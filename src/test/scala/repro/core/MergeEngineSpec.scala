@@ -7,6 +7,7 @@ import scala.util.Random
 
 /** Saving function, thresholds, Lemma 1 and commit bookkeeping. */
 class MergeEngineSpec extends AnyFunSuite {
+  import MergeEngineSpec.pairKeysVsAdjacency
 
   def path(n: Int): LocalGraph =
     LocalGraph.fromEdges((0 until n - 1).map(i => (i.toLong, i.toLong + 1)))
@@ -75,8 +76,10 @@ class MergeEngineSpec extends AnyFunSuite {
   /** Runs Algorithm 2 over T iterations of candidate sets, then replays its
     * merges in commit order on a fresh state. Before each, `afterCost` must
     * equal the merged root's cost once committed, and after each the
-    * summary must decompress to the input. Returns the number of merges
-    * checked and whether any n-edge appeared.
+    * summary must decompress to the input and every root's pair-map keys
+    * must be exactly the roots its family has a subedge to (the set
+    * `closeEnough` relies on). Returns the number of merges checked and
+    * whether any n-edge appeared.
     */
   def checkEveryMerge(g: LocalGraph, seed: Long, heightBound: Int = Int.MaxValue): (Int, Boolean) = {
     val bigT = 6
@@ -97,6 +100,9 @@ class MergeEngineSpec extends AnyFunSuite {
       assert(st.rootCost(m).toLong == predicted,
         s"merge $m of $ch: predicted $predicted vs actual ${st.rootCost(m)}")
       assert(st.toSummary.decompress == g.edgeSet, s"merge $m of $ch is not lossless")
+      pairKeysVsAdjacency(g, st).foreach { case (r, keys, adjacent) =>
+        assert(keys == adjacent, s"after merge $m of $ch: pair-map keys of root $r")
+      }
       sawNEdge ||= st.allEdges.exists(_.sign < 0)
     }
     (run.nSupers - g.n, sawNEdge)
@@ -177,5 +183,21 @@ class MergeEngineSpec extends AnyFunSuite {
         assert(st.pairs(c)(r) eq buf, s"pair ($r,$c) buffer not shared")
       }
     }
+  }
+}
+
+object MergeEngineSpec {
+
+  /** For every live root r of st: r's pair-map keys and the roots other
+    * than r that r's family has a subedge to in g.
+    */
+  def pairKeysVsAdjacency(g: LocalGraph, st: SummaryState): Seq[(Int, Set[Int], Set[Int])] = {
+    val adjacent = g.edges.toSeq
+      .map { case (u, v) => (st.find(u), st.find(v)) }
+      .filter { case (ru, rv) => ru != rv }
+      .flatMap { case (ru, rv) => Seq(ru -> rv, rv -> ru) }
+      .groupMap(_._1)(_._2).view.mapValues(_.toSet)
+    (0 until st.nSupers).filter(st.isRoot)
+      .map(r => (r, st.pairs(r).keySet.toSet, adjacent.getOrElse(r, Set.empty[Int])))
   }
 }
