@@ -32,6 +32,14 @@ object Harness {
     "MOSSO-LITE" -> ((g: LocalGraph) => { val (r, ms) = timeIt(MossoLite.summarize(g, seed = seed)); Run(r, ms) }),
   )
 
+  /** `run` repeated `reps` times: the first summary (every runner is
+    * deterministic for a fixed seed) and the median wall time.
+    */
+  def medianOf(reps: Int)(run: => Run): Run = {
+    val runs = Seq.fill(reps)(run)
+    Run(runs.head.summary, runs.map(_.millis).sorted.apply(reps / 2))
+  }
+
   def loadGraph(spark: SparkSession, spec: Datasets.Spec, scale: Double): LocalGraph =
     LocalGraph.fromDF(spec.gen(spark, scale))
 

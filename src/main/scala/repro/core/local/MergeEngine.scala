@@ -78,7 +78,7 @@ final class MergeEngine(val st: MergeSubstrate) {
     * never do (Lemma 1): they must be adjacent or share a neighbor root.
     */
   def closeEnough(a: Int, b: Int): Boolean = {
-    val ca = st.subCnt(a); val cb = st.subCnt(b)
+    val ca = st.pairs(a); val cb = st.pairs(b)
     if (ca.contains(b)) return true
     val (small, other) = if (ca.size <= cb.size) (ca, cb) else (cb, ca)
     small.keysIterator.exists(other.contains)
@@ -156,32 +156,13 @@ final class MergeEngine(val st: MergeSubstrate) {
     }
     st.pairs(m) = largeP
 
-    // ---- merge ground-truth subedge counts
-    val sa = st.subCnt.remove(a).getOrElse(mutable.HashMap.empty)
-    val sb = st.subCnt.remove(b).getOrElse(mutable.HashMap.empty)
-    sa.remove(b); sb.remove(a)
-    val (smallS, largeS) = if (sa.size <= sb.size) (sa, sb) else (sb, sa)
-    smallS.foreach { case (c, n) => largeS(c) = largeS.getOrElse(c, 0) + n }
-    largeS.keysIterator.toArray.foreach { c =>
-      val sc = st.subCnt(c)
-      val n = sc.getOrElse(a, 0) + sc.getOrElse(b, 0)
-      sc.remove(a); sc.remove(b)
-      if (n > 0) sc(m) = n
-    }
-    st.subCnt(m) = largeS
-
     // ---- Case 2: cross panels toward every neighbor root
     p.cross.foreach { case (c, r) =>
       val buf = largeP(c)
-      val before = buf.length
       buf.clear(); buf ++= r.edges(m)
-      st.pairTotal(c) = st.pairTotal(c) + buf.length - before
     }
 
-    // ---- counters
     st.famSize(m) = st.famSize.remove(a).get + st.famSize.remove(b).get + 1
-    st.pairTotal.remove(a); st.pairTotal.remove(b)
-    st.pairTotal(m) = largeP.valuesIterator.map(_.length).sum
     m
   }
 

@@ -14,9 +14,14 @@ import scala.collection.mutable
 trait MergeSubstrate {
   def famSize: mutable.HashMap[Int, Int]
   def internal: mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]
+
+  /** `pairs(a)(c)`: the p/n-edges between the families of roots a and c,
+    * one buffer shared by both entries. Entries start as the graph's edges
+    * and a merge unions the merged roots' keys; a subedge between the two
+    * families keeps the buffer non-empty. So `pairs(a).keySet` is exactly
+    * the set of roots that a's family has a subedge to.
+    */
   def pairs: mutable.HashMap[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
-  def subCnt: mutable.HashMap[Int, mutable.HashMap[Int, Int]]
-  def pairTotal: mutable.HashMap[Int, Int]
 
   def isRoot(x: Int): Boolean
   def isLeafSuper(x: Int): Boolean
@@ -30,6 +35,9 @@ trait MergeSubstrate {
   def newSuper(a: Int, b: Int): Int
 
   /** Encoding cost attributed to root A, Eq. (6). */
-  def rootCost(a: Int): Int =
-    (famSize(a) - 1) + internal(a).length + pairTotal(a)
+  def rootCost(a: Int): Int = {
+    var n = (famSize(a) - 1) + internal(a).length
+    pairs(a).valuesIterator.foreach(n += _.length)
+    n
+  }
 }

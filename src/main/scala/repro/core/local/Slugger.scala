@@ -14,12 +14,15 @@ object Slugger {
 
   /** @param T            number of candidate-generation + merging iterations
     * @param seed         RNG seed (shingles, processing order)
-    * @param maxGroupSize candidate-set size cap (paper: 500)
+    * @param maxGroupSize candidate-set size cap (paper: 500); at least 2,
+    *                     the smallest set within which a merge can happen
     * @param heightBound  H_b variant of Table V (Int.MaxValue = unbounded)
     * @param pruneRounds  extra pruning rounds after the measured first pass
     */
   final case class Config(T: Int = 20, seed: Long = 42, maxGroupSize: Int = 500,
-                          heightBound: Int = Int.MaxValue, pruneRounds: Int = 2)
+                          heightBound: Int = Int.MaxValue, pruneRounds: Int = 2) {
+    require(maxGroupSize >= 2, s"Slugger.Config.maxGroupSize must be at least 2, got $maxGroupSize")
+  }
 
   /** @param summary     final pruned model
     * @param snapshots   Table IV states: metrics after pruning substeps 0..3

@@ -16,11 +16,11 @@ import scala.collection.mutable
   *  - `internal(root)`  — p/n-edges with both endpoints inside the root's
   *    family (placed by Case 1 rewrites at any depth),
   *  - `pairs(rootA)(rootB)` — p/n-edges between the two families. The buffer
-  *    is shared by both entries, so membership updates are O(1).
+  *    is shared by both entries, so membership updates are O(1). Its keys
+  *    are the roots adjacent to rootA's family (see [[MergeSubstrate.pairs]]).
   *
-  * Root identity under merges is tracked with a union-find over the merge
-  * lineage: `find(x)` is the current root of the tree containing supernode x
-  * (and of subnode x, since singletons start as their own roots).
+  * `find(x)` is the current root of the tree containing supernode x (and of
+  * subnode x, since singletons start as their own roots).
   */
 final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
   val nSub: Int = g.n
@@ -30,29 +30,22 @@ final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
   private val child1B = mutable.ArrayBuffer.empty[Int]
   private val child2B = mutable.ArrayBuffer.empty[Int]
   private val heightB = mutable.ArrayBuffer.empty[Int]
-  private val ufB     = mutable.ArrayBuffer.empty[Int] // merge-lineage union-find
 
   // --------------------------------------------------------- per-root state
-  val famSize   = mutable.HashMap.empty[Int, Int]  // #supernodes in the tree
-  val internal  = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Enc]]
-  val pairs     = mutable.HashMap.empty[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
-  val subCnt    = mutable.HashMap.empty[Int, mutable.HashMap[Int, Int]] // ground-truth subedge counts
-  val pairTotal = mutable.HashMap.empty[Int, Int]  // Σ |pairs(root)(·)|
+  val famSize  = mutable.HashMap.empty[Int, Int] // #supernodes in the tree
+  val internal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Enc]]
+  val pairs    = mutable.HashMap.empty[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
 
   // ------------------------------------------------------------------- init
   (0 until nSub).foreach { u =>
-    parentB += -1; child1B += -1; child2B += -1; heightB += 0; ufB += u
+    parentB += -1; child1B += -1; child2B += -1; heightB += 0
     famSize(u) = 1
     internal(u) = mutable.ArrayBuffer.empty
     pairs(u) = mutable.HashMap.empty
-    subCnt(u) = mutable.HashMap.empty
-    pairTotal(u) = 0
   }
   g.edges.foreach { case (u, v) =>
     val buf = mutable.ArrayBuffer(Enc(u, v, +1))
     pairs(u)(v) = buf; pairs(v)(u) = buf
-    subCnt(u)(v) = 1; subCnt(v)(u) = 1
-    pairTotal(u) += 1; pairTotal(v) += 1
   }
 
   def nSupers: Int = parentB.length
@@ -66,9 +59,7 @@ final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
   /** Current root of the tree containing super/subnode x. */
   def find(x: Int): Int = {
     var r = x
-    while (ufB(r) != r) r = ufB(r)
-    var c = x
-    while (ufB(c) != r) { val nxt = ufB(c); ufB(c) = r; c = nxt }
+    while (parentB(r) >= 0) r = parentB(r)
     r
   }
 
@@ -77,9 +68,7 @@ final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
     val m = parentB.length
     parentB += -1; child1B += a; child2B += b
     heightB += math.max(heightB(a), heightB(b)) + 1
-    ufB += m
     parentB(a) = m; parentB(b) = m
-    ufB(a) = m; ufB(b) = m
     m
   }
 

@@ -7,8 +7,9 @@ import scala.util.Random
 
 /** Serializable snapshot of everything one candidate set needs to run the
   * merging step on an executor: the group's roots (hierarchy tops, internal
-  * encodings), all pair encodings incident to them, ground-truth subedge
-  * counts, and the 1-level families of neighbor roots (for Case 2 panels).
+  * encodings), all pair encodings incident to them (whose keys are the
+  * roots' adjacency, see [[MergeSubstrate.pairs]]), and the 1-level
+  * families of neighbor roots (for Case 2 panels).
   */
 final case class GroupTask(
     groupKey: Long,
@@ -17,7 +18,6 @@ final case class GroupTask(
     roots: Seq[RootInfo],
     neighborChildren: Map[Int, Seq[Int]],        // foreign root -> direct children
     pairEncs: Seq[(Int, Int, Seq[Enc])],         // (rootA-in-group, otherRoot, edges)
-    subCnts: Seq[(Int, Int, Int)],               // (rootA-in-group, otherRoot, count)
     theta: Double,
     heightBound: Int,
     rngSeed: Long,
@@ -40,11 +40,9 @@ final case class GroupDecisions(groupKey: Long, merges: Seq[(Int, Int)])
   * on the driver.
   */
 final class GroupState(task: GroupTask) extends MergeSubstrate {
-  val famSize   = mutable.HashMap.empty[Int, Int]
-  val internal  = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Enc]]
-  val pairs     = mutable.HashMap.empty[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
-  val subCnt    = mutable.HashMap.empty[Int, mutable.HashMap[Int, Int]]
-  val pairTotal = mutable.HashMap.empty[Int, Int]
+  val famSize  = mutable.HashMap.empty[Int, Int]
+  val internal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Enc]]
+  val pairs    = mutable.HashMap.empty[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
 
   /** Merged pairs in commit order; the k-th allocated temp id `idBase + k`. */
   val merges = mutable.ArrayBuffer.empty[(Int, Int)]
@@ -59,20 +57,12 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
     childrenMap(r.id) = r.children
     heightMap(r.id) = r.height
     pairs(r.id) = mutable.HashMap.empty
-    subCnt(r.id) = mutable.HashMap.empty
-    pairTotal(r.id) = 0
   }
   task.neighborChildren.foreach { case (c, ch) => childrenMap.getOrElseUpdate(c, ch) }
   task.pairEncs.foreach { case (a, c, es) =>
     val buf = mutable.ArrayBuffer.from(es)
     pairs(a)(c) = buf
     pairs.getOrElseUpdate(c, mutable.HashMap.empty)(a) = buf
-    pairTotal(a) = pairTotal(a) + buf.length
-    pairTotal(c) = pairTotal.getOrElse(c, 0) + buf.length
-  }
-  task.subCnts.foreach { case (a, c, n) =>
-    subCnt(a)(c) = n
-    subCnt.getOrElseUpdate(c, mutable.HashMap.empty)(a) = n
   }
 
   def isRoot(x: Int): Boolean = !parentMap.contains(x)

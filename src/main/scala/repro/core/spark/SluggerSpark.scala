@@ -90,18 +90,14 @@ object SluggerSpark {
     }
     val pairEncs = mutable.ArrayBuffer.empty[(Int, Int, Seq[repro.core.encode.Enc])]
     val nbrChildren = mutable.HashMap.empty[Int, Seq[Int]]
-    val subCnts = mutable.ArrayBuffer.empty[(Int, Int, Int)]
     live.foreach { a =>
       st.pairs(a).foreach { case (c, buf) =>
         // take in-group pairs once (from the smaller id), foreign pairs always
         if (!inGroup.contains(c) || a < c) pairEncs += ((a, c, buf.toSeq))
         if (!inGroup.contains(c)) nbrChildren.getOrElseUpdate(c, st.childrenOf(c))
       }
-      st.subCnt(a).foreach { case (c, n) =>
-        if (!inGroup.contains(c) || a < c) subCnts += ((a, c, n))
-      }
     }
     GroupTask(key, st.nSub, st.nSupers, roots, nbrChildren.toMap,
-              pairEncs.toSeq, subCnts.toSeq, theta, heightBound, rngSeed)
+              pairEncs.toSeq, theta, heightBound, rngSeed)
   }
 }

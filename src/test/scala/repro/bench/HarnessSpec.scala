@@ -3,8 +3,9 @@ package repro.bench
 import java.nio.charset.StandardCharsets
 import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.model.HierSummary
 
-/** Result persistence of the per-table benches. */
+/** Result persistence and run timing of the per-table benches. */
 class HarnessSpec extends AnyFunSuite {
 
   test("report files are UTF-8 whatever the default charset") {
@@ -16,5 +17,13 @@ class HarnessSpec extends AnyFunSuite {
       assert(back == body)
       assert(back.linesIterator.next() == s"# $title")
     } finally f.delete()
+  }
+
+  test("medianOf runs the body reps times and reports the median time") {
+    val empty = HierSummary(0, Array.empty, Array.empty, Nil, Nil)
+    val times = Iterator(5L, 1L, 9L)
+    var calls = 0
+    val r = Harness.medianOf(3) { calls += 1; Harness.Run(empty, times.next()) }
+    assert(calls == 3 && r.millis == 5L)
   }
 }

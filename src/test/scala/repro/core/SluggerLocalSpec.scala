@@ -86,15 +86,19 @@ class SluggerLocalSpec extends SparkSpec {
       val rng = new Random(t)
       CandidateGen.groups(st, 2000 + t).foreach(d => engine.processGroup(d, engine.theta(t, 4), rng))
     }
-    // pairTotal and internal counters must match the edge store
-    val roots = (0 until st.nSupers).filter(st.isRoot)
-    roots.foreach { r =>
-      val expected = st.pairs(r).valuesIterator.map(_.length).sum
-      assert(st.pairTotal(r) == expected, s"pairTotal($r)")
-    }
+    val bad = MergeEngineSpec.pairKeyMismatches(g, st)
+    assert(bad.isEmpty, s"pair-map keys of roots $bad")
     val cost = st.totalCost
     val summ = st.toSummary
     assert(cost == summ.cost, s"totalCost $cost vs summary ${summ.cost}")
+  }
+
+  test("maxGroupSize below 2 is rejected with a message naming the field") {
+    for (k <- Seq(0, 1)) {
+      val e = intercept[IllegalArgumentException](
+        Slugger.summarize(clique(4), Slugger.Config(maxGroupSize = k)))
+      assert(e.getMessage.contains("maxGroupSize"), e.getMessage)
+    }
   }
 
   test("compression does not get worse with more iterations (random graph)") {

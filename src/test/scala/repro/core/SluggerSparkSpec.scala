@@ -87,6 +87,27 @@ class SluggerSparkSpec extends SparkSpec {
     assert(r1.totalMerges == r2.totalMerges)
   }
 
+  test("distributed SLUGGER rejects maxGroupSize below 2 with a message naming the field") {
+    val edges = GraphGen.cliqueUnion(spark, 2, 4, 0, seed = 1)
+    for (k <- Seq(0, 1)) {
+      val e = intercept[IllegalArgumentException](
+        SluggerSpark.summarize(spark, edges, Slugger.Config(maxGroupSize = k)))
+      assert(e.getMessage.contains("maxGroupSize"), e.getMessage)
+    }
+  }
+
+  test("local and distributed SLUGGER are lossless on an empty graph and a single edge") {
+    import spark.implicits._
+    val cfg = Slugger.Config(T = 1, maxGroupSize = 2)
+    for (pairs <- Seq(Seq.empty[(Long, Long)], Seq((0L, 1L)))) {
+      val edges = pairs.toDF("src", "dst")
+      val g = LocalGraph.fromDF(edges)
+      assert(Slugger.summarize(g, cfg).summary.decompress == g.edgeSet, s"local on $pairs")
+      assert(SluggerSpark.summarize(spark, edges, cfg).summary.decompress == g.edgeSet,
+        s"distributed on $pairs")
+    }
+  }
+
   test("DataFrame decompression of the distributed summary equals the input") {
     val edges = GraphGen.bipartiteCores(spark, 4, 4, 8, 20, seed = 11)
     val g = LocalGraph.fromDF(edges)
