@@ -1,8 +1,10 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.baselines.{MossoLite, Randomized, Sags, Sweg}
 import repro.bench.Datasets
 import repro.core.local.Slugger
+import repro.core.model.HierSummary
 import repro.core.spark.SluggerSpark
 import repro.graph.{GraphGen, LocalGraph}
 import scala.util.hashing.MurmurHash3
@@ -12,6 +14,8 @@ import scala.util.hashing.MurmurHash3
   * and the Table IV snapshots — on four fixed inputs. The expected values
   * were recorded from the implementation before panel shapes were shared
   * between candidate pairs; a change that alters any summary fails here.
+  * The four baselines are pinned the same way (`pPlus` and `pMinus` in
+  * order, `parent`, `alive`) on the PR stand-in.
   */
 class GoldenOutputSpec extends SparkSpec {
 
@@ -21,8 +25,14 @@ class GoldenOutputSpec extends SparkSpec {
                             r.totalMerges, r.snapshots))
   }
 
+  def digest(s: HierSummary): Int =
+    MurmurHash3.seqHash(Seq(s.pPlus, s.pMinus, s.parent.toSeq, s.alive.toSeq))
+
   def check(label: String, r: Slugger.Result, expected: Int): Unit =
     assert(digest(r) == expected, s"$label: digest ${digest(r)}, recorded $expected")
+
+  def check(label: String, s: HierSummary, expected: Int): Unit =
+    assert(digest(s) == expected, s"$label: digest ${digest(s)}, recorded $expected")
 
   test("local SLUGGER on the PR stand-in at T=10 matches its recorded output") {
     val g = LocalGraph.fromDF(Datasets.byName("PR").gen(spark, 1.0))
@@ -42,5 +52,13 @@ class GoldenOutputSpec extends SparkSpec {
   test("distributed SLUGGER on a clique union matches its recorded output") {
     val edges = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
     check("spark", SluggerSpark.summarize(spark, edges, Slugger.Config(T = 6, maxGroupSize = 16)), -1297974476)
+  }
+
+  test("the four baselines on the PR stand-in match their recorded outputs") {
+    val g = LocalGraph.fromDF(Datasets.byName("PR").gen(spark, 1.0))
+    check("RANDOMIZED", Randomized.summarize(g), 2010658750)
+    check("SWEG", Sweg.summarize(g, 10, 42), 1732307223)
+    check("SAGS", Sags.summarize(g), -1501764964)
+    check("MOSSO-LITE", MossoLite.summarize(g), -1137636431)
   }
 }
