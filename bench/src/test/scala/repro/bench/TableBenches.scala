@@ -5,7 +5,7 @@ import repro.SparkSpec
 /** Table II — dataset statistics (paper corpus vs synthetic stand-ins). */
 class TableIIBench extends SparkSpec {
   test("Table II: dataset statistics") {
-    val rows = Tables.tableII(spark, Datasets.defaultScale)
+    val rows = Tables.tableII(spark)
     assert(rows.length == 16)
     // every stand-in is non-trivial
     rows.foreach(r => assert(r(5).toLong >= 100, s"${r.head} too small"))
@@ -15,7 +15,7 @@ class TableIIBench extends SparkSpec {
 /** Table III — relative size vs the iteration count T. */
 class TableIIIBench extends SparkSpec {
   test("Table III: compression improves and converges with T") {
-    val measured = Tables.tableIII(spark, Datasets.defaultScale)
+    val measured = Tables.tableIII(spark)
     assert(measured.size == 16)
     measured.foreach { case (name, sizes) =>
       // non-increasing in T up to small randomized jitter
@@ -33,7 +33,7 @@ class TableIIIBench extends SparkSpec {
 /** Table IV — effectiveness of the pruning substeps. */
 class TableIVBench extends SparkSpec {
   test("Table IV: every pruning substep is cost-non-increasing") {
-    val measured = Tables.tableIV(spark, Datasets.defaultScale)
+    val measured = Tables.tableIV(spark)
     assert(measured.size == 16)
     measured.foreach { case (name, snaps) =>
       assert(snaps.map(_._1) == Seq("0", "1", "2", "3"), s"$name snapshots")
@@ -50,7 +50,7 @@ class TableIVBench extends SparkSpec {
 /** Table V — effect of the height bound H_b. */
 class TableVBench extends SparkSpec {
   test("Table V: taller hierarchies buy smaller outputs") {
-    val measured = Tables.tableV(spark, Datasets.defaultScale)
+    val measured = Tables.tableV(spark)
     assert(measured.size == 16)
     measured.foreach { case (name, perHb) =>
       val rels = perHb.map(_._2)
@@ -71,7 +71,7 @@ class TableVBench extends SparkSpec {
 /** Fig. 5 / Fig. 1(a) — compactness vs the four baselines, plus runtimes. */
 class CompactnessBench extends SparkSpec {
   test("Fig. 5: SLUGGER gives the most concise representation") {
-    val measured = Tables.compactness(spark, Datasets.defaultScale)
+    val measured = Tables.compactness(spark)
     assert(measured.size == 16)
     var wins = 0
     measured.foreach { case (name, (m, byAlgo)) =>
@@ -130,7 +130,7 @@ class DistributedBench extends SparkSpec {
 /** Fig. 6 — composition of output edge types. */
 class CompositionBench extends SparkSpec {
   test("Fig. 6: p-edges dominate, n-edges stay rare") {
-    val measured = Tables.composition(spark, Datasets.defaultScale)
+    val measured = Tables.composition(spark)
     assert(measured.size == 16)
     measured.foreach { case (name, (p, n, h)) =>
       assert(math.abs(p + n + h - 1.0) < 1e-9, s"$name proportions do not sum to 1")

@@ -1,96 +1,27 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.bench.{Datasets, Tables}
+import repro.bench.Datasets
 import repro.core.local.Slugger
 import repro.core.model.HierSummary
 import repro.core.spark.SluggerSpark
 import repro.graph.LocalGraph
 
-/** Shared SparkSession builder for the spark-submit entrypoints. */
-private object JobSession {
-  def get(name: String): SparkSession = SparkSession.builder()
-    .appName(name)
-    .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-    .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-    .getOrCreate()
-
-  def scale: Double = Datasets.defaultScale
-}
-
-/** Table II — dataset statistics. `spark-submit --class repro.jobs.RunTableII`. */
-object RunTableII {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("slugger-table2")
-    Tables.tableII(spark, JobSession.scale)
-    spark.stop()
-  }
-}
-
-/** Table III — relative size vs iteration count T. */
-object RunTableIII {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("slugger-table3")
-    Tables.tableIII(spark, JobSession.scale)
-    spark.stop()
-  }
-}
-
-/** Table IV — effectiveness of the pruning substeps. */
-object RunTableIV {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("slugger-table4")
-    Tables.tableIV(spark, JobSession.scale)
-    spark.stop()
-  }
-}
-
-/** Table V — effect of the hierarchy height bound H_b. */
-object RunTableV {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("slugger-table5")
-    Tables.tableV(spark, JobSession.scale)
-    spark.stop()
-  }
-}
-
-/** Fig. 5 / Fig. 1(a) — compactness and speed vs the four baselines. */
-object RunCompactness {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("slugger-fig5")
-    Tables.compactness(spark, JobSession.scale)
-    spark.stop()
-  }
-}
-
-/** Fig. 1(b) — linear scalability in |E|. */
-object RunScalability {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("slugger-fig1b")
-    Tables.scalability(spark)
-    spark.stop()
-  }
-}
-
-/** Fig. 6 — composition of the output edge types. */
-object RunComposition {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("slugger-fig6")
-    Tables.composition(spark, JobSession.scale)
-    spark.stop()
-  }
-}
-
 /** Summarize one named dataset with the distributed (Spark dataflow) SLUGGER
   * and verify losslessness end-to-end via DataFrame decompression.
   * Usage: `spark-submit --class repro.jobs.RunSluggerDistributed <name> [T]`.
+  * `SPARK_MASTER` and `SPARK_SHUFFLE_PARTITIONS` set the deployment.
   */
 object RunSluggerDistributed {
   def main(args: Array[String]): Unit = {
     val name = args.headOption.getOrElse("PR")
     val bigT = args.lift(1).map(_.toInt).getOrElse(20)
-    val spark = JobSession.get(s"slugger-distributed-$name")
-    val edges = Datasets.byName(name).gen(spark, JobSession.scale)
+    val spark = SparkSession.builder()
+      .appName(s"slugger-distributed-$name")
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .getOrCreate()
+    val edges = Datasets.byName(name).gen(spark, Datasets.defaultScale)
     val g = LocalGraph.fromDF(edges)
     val res = SluggerSpark.summarize(spark, edges, Slugger.Config(T = bigT))
     val frames = res.summary.toFrames(spark)

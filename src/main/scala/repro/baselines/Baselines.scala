@@ -102,8 +102,12 @@ object Sweg {
   * Fastest baseline, least concise output (paper Fig. 5).
   */
 object Sags {
-  def summarize(g: LocalGraph, h: Int = 30, b: Int = 10, p: Double = 0.3,
-                seed: Long = 42): HierSummary = {
+  /** The paper's settings (§IV-A): h = 30 min-hashes in b = 10 bands, p = 0.3. */
+  val h = 30
+  val b = 10
+  val p = 0.3
+
+  def summarize(g: LocalGraph, seed: Long = 42): HierSummary = {
     val fs = new FlatState(g)
     val r = h / b
     val rng = new Random(seed)
@@ -138,7 +142,12 @@ object Sags {
   * speed semantics are not reproduced.
   */
 object MossoLite {
-  def summarize(g: LocalGraph, e: Double = 0.3, seed: Long = 42): HierSummary = {
+  /** Escape probability: an arriving edge skips the move attempt with
+    * probability e (§IV-A: 0.3).
+    */
+  val e = 0.3
+
+  def summarize(g: LocalGraph, seed: Long = 42): HierSummary = {
     val fs = new FlatState(g)
     val rng = new Random(seed)
     val stream = rng.shuffle(g.edges.toList)

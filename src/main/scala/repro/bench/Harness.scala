@@ -23,14 +23,14 @@ object Harness {
     (r, (System.nanoTime() - t0) / 1000000)
   }
 
-  /** name -> runner, in the paper's Fig. 5 order. */
-  def algorithms(bigT: Int = 20, seed: Long = 42): Seq[(String, LocalGraph => Run)] = Seq(
-    "SLUGGER"    -> ((g: LocalGraph) => { val (r, ms) = timeIt(Slugger.summarize(g, Slugger.Config(T = bigT, seed = seed))); Run(r.summary, ms) }),
-    "SWEG"       -> ((g: LocalGraph) => { val (r, ms) = timeIt(Sweg.summarize(g, bigT, seed)); Run(r, ms) }),
-    "RANDOMIZED" -> ((g: LocalGraph) => { val (r, ms) = timeIt(Randomized.summarize(g, seed)); Run(r, ms) }),
-    "SAGS"       -> ((g: LocalGraph) => { val (r, ms) = timeIt(Sags.summarize(g, seed = seed)); Run(r, ms) }),
-    "MOSSO-LITE" -> ((g: LocalGraph) => { val (r, ms) = timeIt(MossoLite.summarize(g, seed = seed)); Run(r, ms) }),
-  )
+  /** name -> timed runner, in the paper's Fig. 5 order, at T=20 and seed 42. */
+  val algorithms: Seq[(String, LocalGraph => Run)] = Seq[(String, LocalGraph => HierSummary)](
+    "SLUGGER"    -> (g => Slugger.summarize(g, Slugger.Config(T = 20, seed = 42)).summary),
+    "SWEG"       -> (g => Sweg.summarize(g, 20, 42)),
+    "RANDOMIZED" -> (g => Randomized.summarize(g, 42)),
+    "SAGS"       -> (g => Sags.summarize(g, 42)),
+    "MOSSO-LITE" -> (g => MossoLite.summarize(g, 42)),
+  ).map { case (name, f) => name -> ((g: LocalGraph) => { val (r, ms) = timeIt(f(g)); Run(r, ms) }) }
 
   /** `run` repeated `reps` times: the first summary (every runner is
     * deterministic for a fixed seed) and the median wall time.

@@ -2,11 +2,13 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.core.local.{Metrics, Slugger}
+import repro.graph.LocalGraph
 
-/** One reproduction routine per table/figure of the evaluation section.
-  * Jobs (spark-submit entrypoints) and bench suites both call these; every
-  * routine prints a markdown table with the paper's numbers alongside the
-  * measured ones and persists it under results/.
+/** One reproduction routine per table/figure of the evaluation section,
+  * each called by its bench suite. Every routine but [[scalability]] runs
+  * the 16 stand-ins at [[Datasets.defaultScale]]; each prints a markdown
+  * table with the paper's numbers alongside the measured ones and persists
+  * it under results/.
   */
 object Tables {
 
@@ -75,10 +77,16 @@ object Tables {
 
   import Harness._
 
+  /** `measure` on each stand-in at [[Datasets.defaultScale]], in Table II
+    * order, keyed by dataset name.
+    */
+  private def perStandIn[A](spark: SparkSession)(measure: LocalGraph => A): Seq[(String, A)] =
+    Datasets.all.map(spec => spec.name -> measure(loadGraph(spark, spec, Datasets.defaultScale)))
+
   /** Table II: dataset statistics — paper corpus vs synthetic stand-ins. */
-  def tableII(spark: SparkSession, scale: Double): Seq[Seq[String]] = {
+  def tableII(spark: SparkSession): Seq[Seq[String]] = {
     val rows = Datasets.all.map { spec =>
-      val g = loadGraph(spark, spec, scale)
+      val g = loadGraph(spark, spec, Datasets.defaultScale)
       Seq(spec.name, spec.summary,
           spec.paper.nodes.toString, spec.paper.edges.toString,
           g.n.toString, g.m.toString)
@@ -89,35 +97,23 @@ object Tables {
   }
 
   /** Table III: effect of the iteration number T on relative size. */
-  def tableIII(spark: SparkSession, scale: Double,
-               datasets: Seq[Datasets.Spec] = Datasets.all): Map[String, Seq[Double]] = {
-    val measured = datasets.map { spec =>
-      val g = loadGraph(spark, spec, scale)
-      spec.name -> TSweep.map { t =>
-        Slugger.summarize(g, Slugger.Config(T = t)).summary.relativeSize(g.m)
-      }
-    }.toMap
-    val rows = datasets.map { spec =>
-      val ours = measured(spec.name)
-      val paper = paperTableIII(spec.name)
-      Seq(spec.name) ++ TSweep.indices.map(i => s"${fmt(ours(i))} (${paper(i)})")
+  def tableIII(spark: SparkSession): Map[String, Seq[Double]] = {
+    val measured = perStandIn(spark)(g =>
+      TSweep.map(t => Slugger.summarize(g, Slugger.Config(T = t)).summary.relativeSize(g.m)))
+    val rows = measured.map { case (name, ours) =>
+      name +: TSweep.indices.map(i => s"${fmt(ours(i))} (${paperTableIII(name)(i)})")
     }
     report("table3", "Table III — relative size vs iterations T, ours (paper)",
       "Data" +: TSweep.map(t => s"T=$t"), rows)
-    measured
+    measured.toMap
   }
 
   /** Table IV: pruning substeps — relative size / max height / leaf depth. */
-  def tableIV(spark: SparkSession, scale: Double,
-              datasets: Seq[Datasets.Spec] = Datasets.all): Map[String, Seq[(String, Metrics)]] = {
-    val measured = datasets.map { spec =>
-      val g = loadGraph(spark, spec, scale)
-      spec.name -> Slugger.summarize(g, Slugger.Config(T = 20)).snapshots
-    }.toMap
-    val rows = datasets.map { spec =>
-      val snaps = measured(spec.name)
-      val (pRel, pH, pD) = paperTableIV(spec.name)
-      Seq(spec.name) ++
+  def tableIV(spark: SparkSession): Map[String, Seq[(String, Metrics)]] = {
+    val measured = perStandIn(spark)(g => Slugger.summarize(g, Slugger.Config(T = 20)).snapshots)
+    val rows = measured.map { case (name, snaps) =>
+      val (pRel, pH, pD) = paperTableIV(name)
+      Seq(name) ++
         snaps.map { case (_, met) => fmt(met.relSize) } ++
         Seq(pRel.map(v => f"$v%.3f").mkString("/")) ++
         Seq(s"${snaps.head._2.maxHeight}->${snaps.last._2.maxHeight}", f"${pH._1}%.1f->${pH._2}%.1f") ++
@@ -126,67 +122,56 @@ object Tables {
     report("table4", "Table IV — pruning substeps (states 0..3)",
       Seq("Data", "rel 0", "rel 1", "rel 2", "rel 3", "paper rel 0/1/2/3",
           "height 0->3", "paper height", "depth 0->3", "paper depth"), rows)
-    measured
+    measured.toMap
   }
 
   /** Table V: height bound H_b — avg leaf depth and relative size. */
-  def tableV(spark: SparkSession, scale: Double,
-             datasets: Seq[Datasets.Spec] = Datasets.all): Map[String, Seq[(Double, Double)]] = {
-    val measured = datasets.map { spec =>
-      val g = loadGraph(spark, spec, scale)
-      spec.name -> HbSweep.map { hb =>
-        val s = Slugger.summarize(g, Slugger.Config(T = 20, heightBound = hb)).summary
-        (s.avgLeafDepth, s.relativeSize(g.m))
-      }
-    }.toMap
-    val rows = datasets.map { spec =>
-      val ours = measured(spec.name)
-      val (pD, pR) = paperTableV(spec.name)
-      Seq(spec.name) ++
-        ours.zipWithIndex.map { case ((d, r), i) => f"$d%.2f/${r}%.3f (${pD(i)}%.2f/${pR(i)}%.3f)" }
+  def tableV(spark: SparkSession): Map[String, Seq[(Double, Double)]] = {
+    val measured = perStandIn(spark)(g => HbSweep.map { hb =>
+      val s = Slugger.summarize(g, Slugger.Config(T = 20, heightBound = hb)).summary
+      (s.avgLeafDepth, s.relativeSize(g.m))
+    })
+    val rows = measured.map { case (name, ours) =>
+      val (pD, pR) = paperTableV(name)
+      name +: ours.zipWithIndex.map { case ((d, r), i) => f"$d%.2f/${r}%.3f (${pD(i)}%.2f/${pR(i)}%.3f)" }
     }
     report("table5", "Table V — height bound H_b: depth/relative size, ours (paper)",
       "Data" +: HbSweep.map(h => if (h == Int.MaxValue) "H_b=inf" else s"H_b=$h"), rows)
-    measured
+    measured.toMap
   }
 
   /** Fig. 5(a)/1(a) as a table: relative size per algorithm, plus runtimes
     * (Fig. 5(b)), each the median of 3 runs.
     */
-  def compactness(spark: SparkSession, scale: Double,
-                  datasets: Seq[Datasets.Spec] = Datasets.all,
-                  bigT: Int = 20): Map[String, (Long, Map[String, Harness.Run])] = {
-    val algos = algorithms(bigT)
+  def compactness(spark: SparkSession): Map[String, (Long, Map[String, Harness.Run])] = {
     // one untimed run of every algorithm, so JIT warm-up stays out of the rows
-    datasets.headOption.foreach { spec =>
-      val g = loadGraph(spark, spec, scale)
-      algos.foreach { case (_, run) => run(g) }
-    }
-    val measured = datasets.map { spec =>
-      val g = loadGraph(spark, spec, scale)
-      spec.name -> (g.m, algos.map { case (name, run) => name -> medianOf(3)(run(g)) }.toMap)
-    }.toMap
-    val rows = datasets.map { spec =>
-      val (m, byAlgo) = measured(spec.name)
-      Seq(spec.name) ++ algos.map { case (name, _) =>
-        val r = byAlgo(name)
+    val first = loadGraph(spark, Datasets.all.head, Datasets.defaultScale)
+    algorithms.foreach { case (_, run) => run(first) }
+    val measured = perStandIn(spark)(g =>
+      (g.m, algorithms.map { case (algo, run) => algo -> medianOf(3)(run(g)) }.toMap))
+    val rows = measured.map { case (name, (m, byAlgo)) =>
+      name +: algorithms.map { case (algo, _) =>
+        val r = byAlgo(algo)
         s"${fmt(r.summary.cost.toDouble / m)} (${r.millis}ms)"
-      } :+ fmt(paperTableIII(spec.name)(3))
+      } :+ fmt(paperTableIII(name)(3))
     }
     report("fig5_compactness", "Fig. 5/1(a) — relative size (median runtime of 3 runs) per algorithm",
-      ("Data" +: algos.map(_._1)) :+ "paper SLUGGER", rows)
-    measured
+      ("Data" +: algorithms.map(_._1)) :+ "paper SLUGGER", rows)
+    measured.toMap
   }
 
-  /** Fig. 1(b) as a table: runtime vs number of edges (linear scalability). */
-  def scalability(spark: SparkSession, sizes: Seq[Double] = Seq(0.5, 1, 2, 4)): Seq[(Long, Long)] = {
+  /** Fig. 1(b) as a table: runtime vs number of edges (linear scalability),
+    * on the U5 stand-in at 2, 4, 8 and 16 times its size.
+    */
+  def scalability(spark: SparkSession): Seq[(Long, Long)] = {
     val spec = Datasets.byName("U5") // paper scales subsamples of UK-05
+    val scales = Seq(2.0, 4.0, 8.0, 16.0)
     val cfg = Slugger.Config(T = 10)
     // one untimed run at the smallest size, so JIT warm-up and the memo's
     // first fill stay out of the first row
-    sizes.headOption.foreach(sc => Slugger.summarize(loadGraph(spark, spec, sc * 4), cfg))
-    val measured = sizes.map { sc =>
-      val g = loadGraph(spark, spec, sc * 4)
+    Slugger.summarize(loadGraph(spark, spec, scales.head), cfg)
+    val measured = scales.map { sc =>
+      val g = loadGraph(spark, spec, sc)
       val (_, ms) = timeIt(Slugger.summarize(g, cfg))
       (g.m, ms)
     }
@@ -197,18 +182,11 @@ object Tables {
   }
 
   /** Fig. 6 as a table: composition of output edge types. */
-  def composition(spark: SparkSession, scale: Double,
-                  datasets: Seq[Datasets.Spec] = Datasets.all): Map[String, (Double, Double, Double)] = {
-    val measured = datasets.map { spec =>
-      val g = loadGraph(spark, spec, scale)
-      spec.name -> Slugger.summarize(g, Slugger.Config(T = 20)).summary.composition
-    }.toMap
-    val rows = datasets.map { spec =>
-      val (p, n, h) = measured(spec.name)
-      Seq(spec.name, fmt(p), fmt(n), fmt(h))
-    }
+  def composition(spark: SparkSession): Map[String, (Double, Double, Double)] = {
+    val measured = perStandIn(spark)(g => Slugger.summarize(g, Slugger.Config(T = 20)).summary.composition)
+    val rows = measured.map { case (name, (p, n, h)) => Seq(name, fmt(p), fmt(n), fmt(h)) }
     report("fig6_composition", "Fig. 6 — proportion of p-/n-/h-edges in SLUGGER outputs",
       Seq("Data", "p-edges", "n-edges", "h-edges"), rows)
-    measured
+    measured.toMap
   }
 }

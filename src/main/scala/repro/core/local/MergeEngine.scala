@@ -17,33 +17,41 @@ import scala.util.Random
 final class MergeEngine(val st: MergeSubstrate) {
   import MergeEngine.{Plan, Rewrite}
 
-  /** The minimum rewrite of one panel's edges. A panel with an edge at a
-    * position that is not a legal slot, or with two edges on one slot, is
-    * kept as it is.
+  /** The minimum rewrite of one panel's edges. Every edge inside the panel
+    * sits at a legal slot and each slot nets to at most one edge: merges
+    * place edges only at slots, initial edges join distinct leaves, and a
+    * position holds at most one edge of each sign. A state that breaks this
+    * is rejected.
     */
   private def rewrite(panel: Panel, input: Iterator[Enc]): Rewrite = {
     val shape = panel.shape
     val netBySlot = new Array[Int](shape.slots.length)
     val all = mutable.ArrayBuffer.empty[Enc]
     val deep = mutable.ArrayBuffer.empty[Enc] // an endpoint outside the panel
-    var clean = true
-    input.foreach { e =>
-      all += e
+    /** The slot an edge sits at, or -1 if an endpoint is outside the panel. */
+    def slotOf(e: Enc): Int = {
       val sx = panel.symOf(e.x); val sy = panel.symOf(e.y)
-      if (sx < 0 || sy < 0) deep += e
+      if (sx < 0 || sy < 0) -1
       else {
         val s = shape.slotOf(sx, sy)
-        if (s < 0) clean = false else netBySlot(s) += e.sign
+        require(s >= 0, s"panel shape ${shape.code}: edge $e is at a position that is not a slot")
+        s
       }
     }
-    if (!clean || deep.length == all.length || netBySlot.exists(n => n > 1 || n < -1))
-      return Rewrite(panel, all, Nil)
+    input.foreach { e =>
+      all += e
+      val s = slotOf(e)
+      if (s < 0) deep += e else netBySlot(s) += e.sign
+    }
+    if (deep.length == all.length) return Rewrite(panel, all, Nil)
     val targets = new Array[Int](shape.nCons)
     val reproduce = mutable.ListBuffer.empty[(Int, Int)]
     var s = 0
     while (s < netBySlot.length) {
       val net = netBySlot(s)
       if (net != 0) {
+        require(net == 1 || net == -1, s"panel shape ${shape.code}: slot $s nets to $net, " +
+          s"edges ${all.filter(e => slotOf(e) == s).mkString(", ")}")
         reproduce += ((s, net))
         val cov = shape.slotCovers(s)
         var c = 0
@@ -210,8 +218,8 @@ final class MergeEngine(val st: MergeSubstrate) {
 object MergeEngine {
 
   /** One panel's rewrite: `kept` are the input edges it leaves in place
-    * (all of them when the panel is kept as it is), `picks` the (slot, sign)
-    * edges it places.
+    * (all of them when no edge lies inside the panel), `picks` the
+    * (slot, sign) edges it places.
     */
   private final case class Rewrite(panel: Panel, kept: Iterable[Enc], picks: List[(Int, Int)]) {
     /** The panel's edges after the rewrite, with `m` as M's id. */

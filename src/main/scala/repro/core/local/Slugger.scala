@@ -17,11 +17,13 @@ object Slugger {
     * @param maxGroupSize candidate-set size cap (paper: 500); at least 2,
     *                     the smallest set within which a merge can happen
     * @param heightBound  H_b variant of Table V (Int.MaxValue = unbounded)
-    * @param pruneRounds  extra pruning rounds after the measured first pass
     */
   final case class Config(T: Int = 20, seed: Long = 42, maxGroupSize: Int = 500,
-                          heightBound: Int = Int.MaxValue, pruneRounds: Int = 2) {
+                          heightBound: Int = Int.MaxValue) {
     require(maxGroupSize >= 2, s"Slugger.Config.maxGroupSize must be at least 2, got $maxGroupSize")
+
+    /** Pruning rounds: the measured first pass plus up to one silent round. */
+    def pruneRounds: Int = 2
   }
 
   /** @param summary     final pruned model

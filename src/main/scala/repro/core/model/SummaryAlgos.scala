@@ -32,8 +32,12 @@ object SummaryAlgos {
     dist.toMap
   }
 
+  /** PageRank's damping factor and iteration count. */
+  val d = 0.85
+  val iters = 20
+
   /** PageRank with uniform teleport (Algorithm 6). */
-  def pageRank(s: HierSummary, d: Double = 0.85, iters: Int = 20): Array[Double] = {
+  def pageRank(s: HierSummary): Array[Double] = {
     val n = s.nSub
     var r = Array.fill(n)(1.0 / n)
     val nbrs = Array.tabulate(n)(v => s.neighbors(v).toArray)

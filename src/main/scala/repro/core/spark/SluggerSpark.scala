@@ -18,9 +18,11 @@ import scala.collection.mutable
   *     [[GroupState]] snapshot, which records the merges it commits,
   *   - the resulting merge decisions are replayed into the authoritative
   *     driver-held state (cheap: one commit per accepted merge), keeping the
-  *     encoding globally consistent without cross-group write conflicts,
-  *   - decompression/verification runs as DataFrame joins
-  *     (`HierSummary.decompressDF`).
+  *     encoding globally consistent without cross-group write conflicts.
+  *
+  * The result is not verified here: `repro.jobs.RunSluggerDistributed`
+  * checks it by DataFrame decompression (`HierSummary.decompressDF`), and
+  * the tests by comparing `decompress` with the input.
   *
   * Candidate sets partition the roots, so decisions from different groups
   * never merge the same root (replay asserts this); replay order only

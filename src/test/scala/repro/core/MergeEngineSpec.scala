@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.encode.Enc
 import repro.core.local.{CandidateGen, MergeEngine, SummaryState}
 import repro.graph.LocalGraph
 import scala.util.Random
@@ -128,7 +129,7 @@ class MergeEngineSpec extends AnyFunSuite {
     }
   }
 
-  test("commit keeps the model lossless and updates the union-find") {
+  test("commit keeps the model lossless and reparents both merged roots") {
     val g = LocalGraph.fromEdges(for (t <- 0 to 1; o <- 2 to 5) yield (t.toLong, o.toLong))
     val st = new SummaryState(g)
     val e = new MergeEngine(st)
@@ -137,6 +138,18 @@ class MergeEngineSpec extends AnyFunSuite {
     assert(st.isRoot(m) && !st.isRoot(0) && !st.isRoot(1))
     assert(st.famSize(m) == 3)
     assert(st.toSummary.decompress == g.edgeSet)
+  }
+
+  test("a merge rejects a panel edge at a position that is not a slot") {
+    // twins 0 and 1 share neighbor 2; no rewrite places an edge between the
+    // merged root and its own child
+    val g = LocalGraph.fromEdges(Seq((0L, 2L), (1L, 2L)))
+    val st = new SummaryState(g)
+    val e = new MergeEngine(st)
+    val m = e.merge(0, 1)
+    st.internal(m) += Enc(0, m, +1)
+    val err = intercept[IllegalArgumentException](e.merge(m, 2))
+    assert(err.getMessage.contains(s"Enc(0,$m,1) is at a position that is not a slot"), err.getMessage)
   }
 
   test("merging twins then their neighbors keeps collapsing a bipartite core") {
