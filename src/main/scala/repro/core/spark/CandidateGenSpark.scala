@@ -11,6 +11,10 @@ import org.apache.spark.sql.functions._
   * and oversized buckets are iteratively re-keyed with the next shingle
   * level (up to 10) and finally split randomly via a window row_number —
   * all as Catalyst plans, no driver-side loops over nodes.
+  *
+  * It is off [[SluggerSpark]]'s path, which takes the driver's
+  * `CandidateGen.groups`; it is kept because perfbench's traced run times
+  * one `assign` call as `spark.assign_s`.
   */
 object CandidateGenSpark {
 

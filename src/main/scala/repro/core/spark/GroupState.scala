@@ -12,7 +12,7 @@ import scala.util.Random
   * families of neighbor roots (for Case 2 panels).
   */
 final case class GroupTask(
-    groupKey: Long,
+    groupKey: Long,                              // index of the set in its iteration's candidate sets
     nSub: Int,
     idBase: Int,                                 // temp id range for in-task merges
     roots: Seq[RootInfo],

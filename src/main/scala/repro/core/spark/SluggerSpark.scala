@@ -1,7 +1,7 @@
 package repro.core.spark
 
-import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
-import repro.core.local.{Slugger, SummaryState}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
@@ -9,16 +9,19 @@ import scala.collection.mutable
   *
   * The paper's reference implementation is single-machine; this variant maps
   * one iteration of its Algorithm 1 ([[Slugger.run]], shared with the local
-  * mode) onto Spark dataflow:
-  *   - candidate generation runs as Catalyst plans over the edge and
-  *     membership DataFrames ([[CandidateGenSpark]]),
-  *   - the merging step — by far the dominant cost, Lemma 3 — fans out as a
-  *     Dataset of [[GroupTask]]s, one per candidate set; each executor runs
-  *     the local mode's own Algorithm 2 (`MergeEngine.processGroup`) on a
-  *     [[GroupState]] snapshot, which records the merges it commits,
-  *   - the resulting merge decisions are replayed into the authoritative
-  *     driver-held state (cheap: one commit per accepted merge), keeping the
-  *     encoding globally consistent without cross-group write conflicts.
+  * mode) onto Spark:
+  *   - candidate generation runs on the driver, which already holds the
+  *     graph and the state: [[tasks]] takes the local mode's own candidate
+  *     sets (`CandidateGen.groups`), a cheap O(|E|) min-hash pass,
+  *   - the merging step — by far the dominant cost, Lemma 3 — fans out as
+  *     one RDD job over the [[GroupTask]]s, one per candidate set; each
+  *     executor runs the local mode's own Algorithm 2
+  *     (`MergeEngine.processGroup`) on a [[GroupState]] snapshot, which
+  *     records the merges it commits,
+  *   - the resulting merge decisions are replayed, in candidate-set order,
+  *     into the authoritative driver-held state (cheap: one commit per
+  *     accepted merge), keeping the encoding globally consistent without
+  *     cross-group write conflicts.
   *
   * The result is not verified here: `repro.jobs.RunSluggerDistributed`
   * checks it by DataFrame decompression (`HierSummary.decompressDF`), and
@@ -33,54 +36,43 @@ object SluggerSpark {
 
   def summarize(spark: SparkSession, edges: DataFrame,
                 cfg: Slugger.Config = Slugger.Config()): Slugger.Result = {
-    val g = LocalGraph.fromDF(edges)
-    val edgesDense = LocalGraph.toDF(spark, g).cache()
-    edgesDense.count()
-
-    // Java serialization: kryo's reflective field access trips JPMS module
-    // boundaries on JDK 17+ without --add-opens, which spark-submit sets but
-    // a plain forked test JVM does not.
-    implicit val taskEnc = Encoders.javaSerialization[GroupTask]
-    implicit val decEnc = Encoders.javaSerialization[GroupDecisions]
-    import spark.implicits._
-
-    val res = Slugger.run(g, cfg) { (st, engine, t) =>
-      val rootIds = (0 until g.n).map(st.find)
-      val members = (0 until g.n).map(u => (u, rootIds(u))).toDF("sub", "root")
-      val assigned = CandidateGenSpark.assign(spark, edgesDense, members,
-        cfg.seed + 7919L * t, cfg.maxGroupSize, rootIds.distinct.size.toLong)
-        .collect().map(r => (r.getInt(0), r.getLong(1)))
-      val byGroup = assigned.groupBy(_._2).view.mapValues(_.map(_._1).toSeq).toMap
-        .filter(_._2.lengthCompare(2) >= 0)
-
+    Slugger.run(LocalGraph.fromDF(edges), cfg) { (st, engine, t) =>
       // every task is built before any replay, so all share this temp id base
       val idBase = st.nSupers
-      val theta = engine.theta(t, cfg.T)
-      val tasks = byGroup.iterator.map { case (key, roots) =>
-        buildTask(st, key, roots, theta, cfg.heightBound, cfg.seed * 31 + t)
-      }.toSeq
-
-      val decisions = spark.createDataset(tasks)
-        .map(GroupState.run _)
-        .collect()
-
-      // replay decisions against the authoritative state, mapping the
-      // executors' temp ids to the real ids allocated here
-      decisions.foreach { d =>
-        val tempMap = mutable.HashMap.empty[Int, Int]
-        d.merges.iterator.zipWithIndex.foreach { case ((a0, b0), k) =>
-          val a = tempMap.getOrElse(a0, a0)
-          val b = tempMap.getOrElse(b0, b0)
-          require(a != b && st.isRoot(a) && st.isRoot(b),
-            s"group ${d.groupKey}, merge $k: ($a0, $b0) -> ($a, $b) does not join two live roots")
-          tempMap(idBase + k) = engine.merge(a, b)
-        }
-      }
-      decisions.iterator.map(_.merges.length.toLong).sum
+      // collect keeps the order of the tasks, so replay follows the sets' order
+      val decisions = spark.sparkContext.parallelize(tasks(st, cfg, engine.theta(t, cfg.T), t))
+        .map(GroupState.run).collect()
+      replay(engine, idBase, decisions)
     }
-    edgesDense.unpersist()
-    res
   }
+
+  /** Replay decisions, in order, against the authoritative state, mapping
+    * the executors' temp ids to the real ids allocated here. Returns the
+    * number of merges committed.
+    */
+  private[core] def replay(engine: MergeEngine, idBase: Int, decisions: Iterable[GroupDecisions]): Long = {
+    val st = engine.st
+    decisions.foreach { d =>
+      val tempMap = mutable.HashMap.empty[Int, Int]
+      d.merges.iterator.zipWithIndex.foreach { case ((a0, b0), k) =>
+        val a = tempMap.getOrElse(a0, a0)
+        val b = tempMap.getOrElse(b0, b0)
+        require(a != b && st.isRoot(a) && st.isRoot(b),
+          s"group ${d.groupKey}, merge $k: ($a0, $b0) -> ($a, $b) does not join two live roots")
+        tempMap(idBase + k) = engine.merge(a, b)
+      }
+    }
+    decisions.iterator.map(_.merges.length.toLong).sum
+  }
+
+  /** Iteration t's tasks: one per candidate set of `CandidateGen.groups`,
+    * in its order, keyed by the set's index.
+    */
+  private[core] def tasks(st: SummaryState, cfg: Slugger.Config, theta: Double,
+                          t: Int): Seq[GroupTask] =
+    CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize).zipWithIndex.map {
+      case (roots, k) => buildTask(st, k.toLong, roots, theta, cfg.heightBound, cfg.seed * 31 + t)
+    }
 
   /** Snapshot everything one candidate set needs (see [[GroupTask]]). */
   private[core] def buildTask(st: SummaryState, key: Long, rootIds: Seq[Int],

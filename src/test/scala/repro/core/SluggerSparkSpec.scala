@@ -2,13 +2,16 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.local.Slugger
+import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
 import repro.core.model.HierSummary
-import repro.core.spark.{CandidateGenSpark, SluggerSpark}
+import repro.core.spark.{CandidateGenSpark, GroupState, SluggerSpark}
 import repro.graph.{GraphGen, LocalGraph}
 
-/** Distributed SLUGGER: DataFrame candidate generation, executor-parallel
-  * merging, DataFrame decompression, DuckDB reconstruction oracle.
+/** Distributed SLUGGER: the driver's candidate sets become one RDD job of
+  * group tasks per iteration, replayed in order; DataFrame decompression and
+  * the DuckDB reconstruction oracle check the output. The DataFrame
+  * candidate generator (`CandidateGenSpark`, off the summarize path) keeps
+  * its own tests.
   */
 class SluggerSparkSpec extends SparkSpec {
 
@@ -75,7 +78,8 @@ class SluggerSparkSpec extends SparkSpec {
   }
 
   test("distributed SLUGGER is deterministic for fixed edges and Config") {
-    // maxGroupSize 16 < #roots also exercises bucket refinement and splitting
+    // maxGroupSize 16 < #roots: CandidateGen refines and splits buckets, and
+    // the run still depends only on the edges and the Config
     val edges = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
     val cfg = Slugger.Config(T = 6, maxGroupSize = 16)
     val r1 = SluggerSpark.summarize(spark, edges, cfg)
@@ -85,6 +89,48 @@ class SluggerSparkSpec extends SparkSpec {
     assert(r1.summary.parent.toSeq == r2.summary.parent.toSeq)
     assert(r1.summary.alive.toSeq == r2.summary.alive.toSeq)
     assert(r1.totalMerges == r2.totalMerges)
+  }
+
+  test("each iteration's tasks are CandidateGen's sets in order, on live roots") {
+    val inputs = Seq(
+      "ER(200,600)" -> LocalGraph.fromDF(GraphGen.erdosRenyi(spark, 200, 600)),
+      "clique union" -> LocalGraph.fromDF(GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)))
+    // No level-0 bucket of either input exceeds 16 roots, so cap 4 is added
+    // to make CandidateGen refine and randomly split buckets as well.
+    for (cap <- Seq(16, 4); (name, g) <- inputs) {
+      val cfg = Slugger.Config(T = 4, maxGroupSize = cap)
+      val st = new SummaryState(g)
+      val engine = new MergeEngine(st)
+      var (refined, split, checkedMerged) = (false, false, false)
+      for (t <- 1 to cfg.T) {
+        val at = s"$name, cap $cap, t=$t"
+        val seed = cfg.seed + 7919L * t
+        val sets = CandidateGen.groups(st, seed, cap)
+        val th = engine.theta(t, cfg.T)
+        val tasks = SluggerSpark.tasks(st, cfg, th, t)
+        assert(tasks.map(_.roots.map(_.id)) == sets.map(_.filter(st.isRoot)), at)
+        assert(tasks.map(_.groupKey) == tasks.indices.map(_.toLong), at)
+        assert(tasks.forall(k => k.theta == th && k.rngSeed == cfg.seed * 31 + t &&
+          k.idBase == st.nSupers && k.heightBound == cfg.heightBound), at)
+
+        // refinement runs on a level-0 bucket above the cap; only the random
+        // split separates two roots that agree on every shingle level
+        val levels = (0 until CandidateGen.MaxRefineLevels).map(CandidateGen.rootShingles(st, seed, _))
+        refined ||= levels(0).values.groupBy(identity).values.exists(_.size > cap)
+        val setOf = sets.zipWithIndex.flatMap { case (d, i) => d.map(_ -> i) }.toMap
+        split ||= levels(0).keys.groupBy(r => levels.map(_(r))).values
+          .exists(_.map(setOf.get).toSeq.distinct.size > 1)
+        checkedMerged ||= st.nSupers > g.n
+
+        SluggerSpark.replay(engine, st.nSupers, tasks.map(GroupState.run))
+      }
+      assert(st.nSupers > g.n, s"$name, cap $cap: no merge was replayed")
+      if (cap == 4) assert(refined, s"$name: no bucket was refined")
+      if (name == "clique union") {
+        assert(checkedMerged, s"cap $cap: no set was checked after a merge")
+        if (cap == 4) assert(split, "no bucket was split at random")
+      }
+    }
   }
 
   test("distributed SLUGGER rejects maxGroupSize below 2 with a message naming the field") {
