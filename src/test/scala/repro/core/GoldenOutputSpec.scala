@@ -14,6 +14,9 @@ import scala.util.hashing.MurmurHash3
   * and the Table IV snapshots — on four fixed inputs. The expected values
   * were recorded from the implementation before panel shapes were shared
   * between candidate pairs; a change that alters any summary fails here.
+  * The distributed value was re-recorded when `SluggerSpark` switched from
+  * DataFrame candidate sets to `CandidateGen.groups` on the driver, which
+  * changes its sets and their replay order by design.
   * The four baselines are pinned the same way (`pPlus` and `pMinus` in
   * order, `parent`, `alive`) on the PR stand-in.
   */
@@ -51,7 +54,7 @@ class GoldenOutputSpec extends SparkSpec {
 
   test("distributed SLUGGER on a clique union matches its recorded output") {
     val edges = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
-    check("spark", SluggerSpark.summarize(spark, edges, Slugger.Config(T = 6, maxGroupSize = 16)), -1297974476)
+    check("spark", SluggerSpark.summarize(spark, edges, Slugger.Config(T = 6, maxGroupSize = 16)), 1821491606)
   }
 
   test("the four baselines on the PR stand-in match their recorded outputs") {
