@@ -12,14 +12,18 @@ import scala.util.Random
   */
 object Slugger {
 
-  /** @param T            number of candidate-generation + merging iterations
+  /** @param T            number of candidate-generation + merging iterations;
+    *                     at least 1
     * @param seed         RNG seed (shingles, processing order)
     * @param maxGroupSize candidate-set size cap (paper: 500); at least 2,
     *                     the smallest set within which a merge can happen
-    * @param heightBound  H_b variant of Table V (Int.MaxValue = unbounded)
+    * @param heightBound  H_b variant of Table V (Int.MaxValue = unbounded);
+    *                     at least 1, the height of a merge of two leaves
     */
   final case class Config(T: Int = 20, seed: Long = 42, maxGroupSize: Int = 500,
                           heightBound: Int = Int.MaxValue) {
+    require(T >= 1, s"Slugger.Config.T must be at least 1, got $T")
+    require(heightBound >= 1, s"Slugger.Config.heightBound must be at least 1, got $heightBound")
     require(maxGroupSize >= 2, s"Slugger.Config.maxGroupSize must be at least 2, got $maxGroupSize")
 
     /** Pruning rounds: the measured first pass plus up to one silent round. */

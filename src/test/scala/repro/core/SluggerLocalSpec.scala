@@ -101,6 +101,17 @@ class SluggerLocalSpec extends SparkSpec {
     }
   }
 
+  test("T and heightBound below 1 are rejected with messages naming the field") {
+    for (k <- Seq(0, -1)) {
+      val eT = intercept[IllegalArgumentException](
+        Slugger.summarize(clique(4), Slugger.Config(T = k)))
+      assert(eT.getMessage.contains("Config.T "), eT.getMessage)
+      val eH = intercept[IllegalArgumentException](
+        Slugger.summarize(clique(4), Slugger.Config(heightBound = k)))
+      assert(eH.getMessage.contains("heightBound"), eH.getMessage)
+    }
+  }
+
   test("compression does not get worse with more iterations (random graph)") {
     val g = randomGraph(80, 200, 5)
     val c1 = Slugger.summarize(g, Slugger.Config(T = 1, seed = 5)).summary.cost

@@ -142,6 +142,18 @@ class SluggerSparkSpec extends SparkSpec {
     }
   }
 
+  test("distributed SLUGGER rejects T and heightBound below 1 with messages naming the field") {
+    val edges = GraphGen.cliqueUnion(spark, 2, 4, 0, seed = 1)
+    for (k <- Seq(0, -1)) {
+      val eT = intercept[IllegalArgumentException](
+        SluggerSpark.summarize(spark, edges, Slugger.Config(T = k)))
+      assert(eT.getMessage.contains("Config.T "), eT.getMessage)
+      val eH = intercept[IllegalArgumentException](
+        SluggerSpark.summarize(spark, edges, Slugger.Config(heightBound = k)))
+      assert(eH.getMessage.contains("heightBound"), eH.getMessage)
+    }
+  }
+
   test("local and distributed SLUGGER are lossless on an empty graph and a single edge") {
     import spark.implicits._
     val cfg = Slugger.Config(T = 1, maxGroupSize = 2)
