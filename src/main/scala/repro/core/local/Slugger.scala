@@ -12,13 +12,11 @@ import scala.util.Random
   */
 object Slugger {
 
-  /** @param T            number of candidate-generation + merging iterations;
-    *                     at least 1
+  /** @param T            candidate-generation + merging iterations (at least 1)
     * @param seed         RNG seed (shingles, processing order)
     * @param maxGroupSize candidate-set size cap (paper: 500); at least 2,
     *                     the smallest set within which a merge can happen
-    * @param heightBound  H_b variant of Table V (Int.MaxValue = unbounded);
-    *                     at least 1, the height of a merge of two leaves
+    * @param heightBound  H_b variant of Table V (at least 1; Int.MaxValue = unbounded)
     */
   final case class Config(T: Int = 20, seed: Long = 42, maxGroupSize: Int = 500,
                           heightBound: Int = Int.MaxValue) {

@@ -5,23 +5,18 @@ import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
-/** Distributed SLUGGER.
-  *
-  * The paper's reference implementation is single-machine; this variant maps
-  * one iteration of its Algorithm 1 ([[Slugger.run]], shared with the local
-  * mode) onto Spark:
-  *   - candidate generation runs on the driver, which already holds the
-  *     graph and the state: [[tasks]] takes the local mode's own candidate
-  *     sets (`CandidateGen.groups`), a cheap O(|E|) min-hash pass,
-  *   - the merging step — by far the dominant cost, Lemma 3 — fans out as
-  *     one RDD job over the [[GroupTask]]s, one per candidate set; each
-  *     executor runs the local mode's own Algorithm 2
+/** Distributed SLUGGER: one iteration of Algorithm 1 ([[Slugger.run]],
+  * shared with the local mode) on Spark.
+  *   - Candidate generation runs on the driver, which holds the graph and
+  *     the state: [[tasks]] turns the local mode's `CandidateGen.groups`
+  *     sets (an O(|E|) min-hash pass) into one [[GroupTask]] each.
+  *   - Merging, the dominant cost (Lemma 3), fans out as one RDD job over
+  *     the tasks; each executor runs the local mode's own Algorithm 2
   *     (`MergeEngine.processGroup`) on a [[GroupState]] snapshot, which
-  *     records the merges it commits,
-  *   - the resulting merge decisions are replayed, in candidate-set order,
-  *     into the authoritative driver-held state (cheap: one commit per
-  *     accepted merge), keeping the encoding globally consistent without
-  *     cross-group write conflicts.
+  *     records the merges it commits.
+  *   - The decisions are replayed in candidate-set order into the
+  *     driver-held state (one commit per accepted merge), which keeps the
+  *     encoding globally consistent without cross-group write conflicts.
   *
   * The result is not verified here: `repro.jobs.RunSluggerDistributed`
   * checks it by DataFrame decompression (`HierSummary.decompressDF`), and
@@ -35,23 +30,21 @@ import scala.collection.mutable
 object SluggerSpark {
 
   def summarize(spark: SparkSession, edges: DataFrame,
-                cfg: Slugger.Config = Slugger.Config()): Slugger.Result = {
+                cfg: Slugger.Config = Slugger.Config()): Slugger.Result =
     Slugger.run(LocalGraph.fromDF(edges), cfg) { (st, engine, t) =>
-      // every task is built before any replay, so all share this temp id base
-      val idBase = st.nSupers
-      // collect keeps the order of the tasks, so replay follows the sets' order
-      val decisions = spark.sparkContext.parallelize(tasks(st, cfg, engine.theta(t, cfg.T), t))
-        .map(GroupState.run).collect()
-      replay(engine, idBase, decisions)
+      // collect keeps the tasks' order, so replay follows the candidate sets'
+      replay(st, engine, spark.sparkContext.parallelize(tasks(st, cfg, engine.theta(t, cfg.T), t))
+        .map(GroupState.run).collect())
     }
-  }
 
-  /** Replay decisions, in order, against the authoritative state, mapping
-    * the executors' temp ids to the real ids allocated here. Returns the
-    * number of merges committed.
+  /** Replay one iteration's decisions, in order, against the authoritative
+    * state, mapping the executors' temp ids to the real ids allocated here.
+    * Returns the number of merges committed.
     */
-  private[core] def replay(engine: MergeEngine, idBase: Int, decisions: Iterable[GroupDecisions]): Long = {
-    val st = engine.st
+  private[core] def replay(st: SummaryState, engine: MergeEngine,
+                           decisions: Iterable[GroupDecisions]): Long = {
+    // every task was built before any replay, so all share this temp id base
+    val idBase = st.nSupers
     decisions.foreach { d =>
       val tempMap = mutable.HashMap.empty[Int, Int]
       d.merges.iterator.zipWithIndex.foreach { case ((a0, b0), k) =>

@@ -78,8 +78,8 @@ class SluggerSparkSpec extends SparkSpec {
   }
 
   test("distributed SLUGGER is deterministic for fixed edges and Config") {
-    // maxGroupSize 16 < #roots: CandidateGen refines and splits buckets, and
-    // the run still depends only on the edges and the Config
+    // tasks come in CandidateGen's order and collect keeps it, so replay
+    // order does not depend on how the RDD is sliced
     val edges = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
     val cfg = Slugger.Config(T = 6, maxGroupSize = 16)
     val r1 = SluggerSpark.summarize(spark, edges, cfg)
@@ -122,7 +122,7 @@ class SluggerSparkSpec extends SparkSpec {
           .exists(_.map(setOf.get).toSeq.distinct.size > 1)
         checkedMerged ||= st.nSupers > g.n
 
-        SluggerSpark.replay(engine, st.nSupers, tasks.map(GroupState.run))
+        SluggerSpark.replay(st, engine, tasks.map(GroupState.run))
       }
       assert(st.nSupers > g.n, s"$name, cap $cap: no merge was replayed")
       if (cap == 4) assert(refined, s"$name: no bucket was refined")
