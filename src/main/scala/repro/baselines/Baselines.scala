@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.local.CandidateGen
+import repro.core.local.{CandidateGen, MergeEngine}
 import repro.core.model.{FlatModel, HierSummary}
 import repro.graph.LocalGraph
 import scala.collection.mutable
@@ -45,42 +45,38 @@ object Randomized {
 }
 
 /** SWEG (Shin et al., WWW'19), lossless variant (eps = 0): min-hash grouping
-  * as in SLUGGER, then within each group repeatedly pair each supernode with
-  * the group member of highest neighborhood Jaccard similarity and merge if
-  * the flat-model saving clears the threshold θ(t) = (1+t)^-1.
+  * as in SLUGGER, then within each group SLUGGER's Algorithm 2 loop
+  * ([[MergeEngine.greedy]]), which pairs each popped supernode with the
+  * group member of highest neighborhood Jaccard similarity and merges if the
+  * flat-model saving clears the threshold θ(t) of Eq. (9).
   */
 object Sweg {
   def summarize(g: LocalGraph, bigT: Int = 20, seed: Long = 42): HierSummary = {
     val fs = new FlatState(g)
     for (t <- 1 to bigT) {
-      val th = if (t < bigT) 1.0 / (1.0 + t) else 0.0
+      val th = MergeEngine.theta(t, bigT)
       val rng = new Random(seed * 31 + t)
-      val groups = CandidateGen.groupsOf(g, fs.find, seed + 7919L * t)
-      groups.foreach { d =>
-        val q = mutable.ArrayBuffer.from(d.iterator.map(fs.find).distinct.filter(fs.cnt.contains))
-        while (q.length > 1) {
-          val a = q.remove(rng.nextInt(q.length))
-          if (fs.cnt.contains(a)) {
-            var best = -1; var bestJ = -1.0
-            var i = 0
-            while (i < q.length) {
-              val z = q(i)
-              if (fs.cnt.contains(z) && z != a) {
-                val j = jaccard(fs, a, z)
-                if (j > bestJ) { bestJ = j; best = z }
-              }
-              i += 1
-            }
-            if (best >= 0 && fs.gain(a, best) >= th) {
-              val w = fs.merge(a, best)
-              q -= best
-              q += w
-            }
-          }
-        }
+      CandidateGen.groupsOf(g, fs.find, seed + 7919L * t).foreach { d =>
+        MergeEngine.greedy(d, rng, fs.cnt.contains)(partner(fs, th))(fs.merge)
       }
     }
     FlatModel.encode(g, fs.superOf)
+  }
+
+  /** SWEG's partner for root `a` in Algorithm 2 ([[MergeEngine.greedy]]):
+    * the queued root of highest Jaccard similarity, accepted if the flat
+    * model's merge gain is at least `th`; -1 otherwise.
+    */
+  def partner(fs: FlatState, th: Double)(a: Int, q: collection.IndexedSeq[Int]): Int = {
+    var best = -1; var bestJ = -1.0
+    var i = 0
+    while (i < q.length) {
+      val z = q(i)
+      val j = jaccard(fs, a, z)
+      if (j > bestJ) { bestJ = j; best = z }
+      i += 1
+    }
+    if (best >= 0 && fs.gain(a, best) >= th) best else -1
   }
 
   /** Weighted Jaccard over neighbor-supernode count maps. */

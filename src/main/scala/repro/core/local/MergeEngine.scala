@@ -176,46 +176,68 @@ final class MergeEngine(val st: MergeSubstrate) {
 
   // ----------------------------------------------------- group processing
 
+  /** Merging threshold θ(t), Eq. (9); forwards to [[MergeEngine.theta]] for
+    * callers that hold an engine (perfbench's `TracedSlugger`, the tests).
+    */
+  def theta(t: Int, bigT: Int): Double = MergeEngine.theta(t, bigT)
+
+  /** Algorithm 2 on one candidate set with SLUGGER's partner: among the
+    * queued roots within distance 2 of `a` whose merger stays within the
+    * height bound, the one of highest Saving, accepted if that Saving is at
+    * least `th`. Returns the number of merges performed.
+    */
+  def processGroup(group: Seq[Int], th: Double, rng: Random,
+                   heightBound: Int = Int.MaxValue): Int =
+    MergeEngine.greedy(group, rng, st.isRoot) { (a, q) =>
+      var bestZ = -1
+      var bestS = Double.NegativeInfinity
+      var i = 0
+      while (i < q.length) {
+        val z = q(i)
+        if (math.max(st.heightOf(a), st.heightOf(z)) + 1 <= heightBound && closeEnough(a, z)) {
+          val s = saving(a, z)
+          if (s > bestS) { bestS = s; bestZ = z }
+        }
+        i += 1
+      }
+      if (bestZ >= 0 && bestS >= th) bestZ else -1
+    }(merge)
+}
+
+object MergeEngine {
+
   /** Merging threshold θ(t), Eq. (9). */
   def theta(t: Int, bigT: Int): Double = if (t < bigT) 1.0 / (1.0 + t) else 0.0
 
-  /** Algorithm 2: greedy merging within one candidate set. Returns the
-    * number of merges performed.
+  /** Algorithm 2, greedy merging within one candidate set, shared by
+    * SLUGGER ([[MergeEngine.processGroup]]) and SWEG. `roots` must be
+    * distinct live roots. Until one root is left: pop a random root `a`, ask
+    * `partner(a, queue)` for the queued root to merge it with (or -1), and
+    * replace that partner with the root `merge` returns. Returns the number
+    * of merges.
     */
-  def processGroup(group: Seq[Int], th: Double, rng: Random,
-                   heightBound: Int = Int.MaxValue): Int = {
-    val q = mutable.ArrayBuffer.from(
-      group.iterator.map(st.find).distinct.filter(st.isRoot))
+  def greedy(roots: Seq[Int], rng: Random, isRoot: Int => Boolean)
+            (partner: (Int, collection.IndexedSeq[Int]) => Int)
+            (merge: (Int, Int) => Int): Int = {
+    val q = mutable.ArrayBuffer.from(roots)
+    val seen = mutable.HashSet.empty[Int]
+    q.foreach { r =>
+      require(isRoot(r), s"candidate set holds $r, which is not a live root")
+      require(seen.add(r), s"candidate set holds $r twice")
+    }
     var merges = 0
     while (q.length > 1) {
       val a = q.remove(rng.nextInt(q.length))
-      if (st.isRoot(a)) {
-        var bestZ = -1
-        var bestS = Double.NegativeInfinity
-        var i = 0
-        while (i < q.length) {
-          val z = q(i)
-          if (st.isRoot(z) && z != a &&
-              math.max(st.heightOf(a), st.heightOf(z)) + 1 <= heightBound &&
-              closeEnough(a, z)) {
-            val s = saving(a, z)
-            if (s > bestS) { bestS = s; bestZ = z }
-          }
-          i += 1
-        }
-        if (bestZ >= 0 && bestS >= th) {
-          val m = merge(a, bestZ)
-          q -= bestZ
-          q += m
-          merges += 1
-        }
+      val z = partner(a, q)
+      if (z >= 0) {
+        val m = merge(a, z)
+        q -= z
+        q += m
+        merges += 1
       }
     }
     merges
   }
-}
-
-object MergeEngine {
 
   /** One panel's rewrite: `kept` are the input edges it leaves in place
     * (all of them when no edge lies inside the panel), `picks` the

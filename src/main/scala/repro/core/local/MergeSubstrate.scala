@@ -23,11 +23,13 @@ trait MergeSubstrate {
     */
   def pairs: mutable.HashMap[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
 
-  def isRoot(x: Int): Boolean
+  /** `famSize` has one entry per root that may be merged: every live root
+    * of the local state, the group's roots (and their mergers) on an executor.
+    */
+  def isRoot(x: Int): Boolean = famSize.contains(x)
   def isLeafSuper(x: Int): Boolean
   def childrenOf(x: Int): Seq[Int]
   def heightOf(x: Int): Int
-  def find(x: Int): Int
 
   /** Allocate the merged supernode for roots a and b and wire hierarchy.
     * `MergeEngine.merge` calls it once per merge, with the merged pair.

@@ -38,7 +38,7 @@ object Slugger {
 
   def summarize(g: LocalGraph, cfg: Config = Config()): Result = run(g, cfg) { (st, engine, t) =>
     val groups = CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize)
-    val th = engine.theta(t, cfg.T)
+    val th = MergeEngine.theta(t, cfg.T)
     val rng = new Random(cfg.seed * 31 + t)
     groups.foldLeft(0L)((merges, d) => merges + engine.processGroup(d, th, rng, cfg.heightBound))
   }

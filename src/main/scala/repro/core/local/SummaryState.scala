@@ -20,7 +20,8 @@ import scala.collection.mutable
   *    are the roots adjacent to rootA's family (see [[MergeSubstrate.pairs]]).
   *
   * `find(x)` is the current root of the tree containing supernode x (and of
-  * subnode x, since singletons start as their own roots).
+  * subnode x, since singletons start as their own roots); candidate
+  * generation uses it to lift subnodes to roots.
   */
 final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
   val nSub: Int = g.n
@@ -51,7 +52,6 @@ final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
   def nSupers: Int = parentB.length
   def parentOf(x: Int): Int = parentB(x)
   def heightOf(x: Int): Int = heightB(x)
-  def isRoot(x: Int): Boolean = parentB(x) == -1
   def isLeafSuper(x: Int): Boolean = x < nSub
   def childrenOf(x: Int): Seq[Int] =
     if (child1B(x) < 0) Nil else Seq(child1B(x), child2B(x))

@@ -34,10 +34,13 @@ final case class GroupDecisions(groupKey: Long, merges: Seq[(Int, Int)])
 
 /** Executor-side [[MergeSubstrate]] reconstructed from a [[GroupTask]].
   *
-  * Neighbor (foreign) roots get stub entries so the shared [[MergeEngine]]
-  * can update back-references; only group roots are ever merged here.
-  * [[newSuper]] records every merge in `merges`, the decision list replayed
-  * on the driver.
+  * Neighbor (foreign) roots get stub entries in `pairs` and `childrenOf` so
+  * the shared [[MergeEngine]] can update back-references and build Case 2
+  * panels. Only the group's roots, and the roots merged from them, have a
+  * `famSize` entry, so they are the only roots here
+  * ([[MergeSubstrate.isRoot]]) and the only ones ever merged. [[newSuper]]
+  * records every merge in `merges`, the decision list replayed on the
+  * driver.
   */
 final class GroupState(task: GroupTask) extends MergeSubstrate {
   val famSize  = mutable.HashMap.empty[Int, Int]
@@ -49,7 +52,6 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
 
   private val childrenMap = mutable.HashMap.empty[Int, Seq[Int]]
   private val heightMap = mutable.HashMap.empty[Int, Int]
-  private val parentMap = mutable.HashMap.empty[Int, Int] // merged ids only
 
   task.roots.foreach { r =>
     famSize(r.id) = r.famSize
@@ -65,23 +67,15 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
     pairs.getOrElseUpdate(c, mutable.HashMap.empty)(a) = buf
   }
 
-  def isRoot(x: Int): Boolean = !parentMap.contains(x)
   def isLeafSuper(x: Int): Boolean = x < task.nSub
   def childrenOf(x: Int): Seq[Int] = childrenMap.getOrElse(x, Nil)
   def heightOf(x: Int): Int = heightMap.getOrElse(x, 0)
-
-  def find(x: Int): Int = {
-    var r = x
-    while (parentMap.contains(r)) r = parentMap(r)
-    r
-  }
 
   def newSuper(a: Int, b: Int): Int = {
     val m = task.idBase + merges.length
     merges += ((a, b))
     childrenMap(m) = Seq(a, b)
     heightMap(m) = math.max(heightOf(a), heightOf(b)) + 1
-    parentMap(a) = m; parentMap(b) = m
     m
   }
 }

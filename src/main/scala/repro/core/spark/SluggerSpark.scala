@@ -33,7 +33,7 @@ object SluggerSpark {
                 cfg: Slugger.Config = Slugger.Config()): Slugger.Result =
     Slugger.run(LocalGraph.fromDF(edges), cfg) { (st, engine, t) =>
       // collect keeps the tasks' order, so replay follows the candidate sets'
-      replay(st, engine, spark.sparkContext.parallelize(tasks(st, cfg, engine.theta(t, cfg.T), t))
+      replay(st, engine, spark.sparkContext.parallelize(tasks(st, cfg, MergeEngine.theta(t, cfg.T), t))
         .map(GroupState.run).collect())
     }
 
@@ -70,14 +70,13 @@ object SluggerSpark {
   /** Snapshot everything one candidate set needs (see [[GroupTask]]). */
   private[core] def buildTask(st: SummaryState, key: Long, rootIds: Seq[Int],
                               theta: Double, heightBound: Int, rngSeed: Long): GroupTask = {
-    val live = rootIds.map(st.find).distinct.filter(st.isRoot)
-    val inGroup = live.toSet
-    val roots = live.map { r =>
+    val inGroup = rootIds.toSet
+    val roots = rootIds.map { r =>
       RootInfo(r, st.famSize(r), st.heightOf(r), st.childrenOf(r), st.internal(r).toSeq)
     }
     val pairEncs = mutable.ArrayBuffer.empty[(Int, Int, Seq[repro.core.encode.Enc])]
     val nbrChildren = mutable.HashMap.empty[Int, Seq[Int]]
-    live.foreach { a =>
+    rootIds.foreach { a =>
       st.pairs(a).foreach { case (c, buf) =>
         // take in-group pairs once (from the smaller id), foreign pairs always
         if (!inGroup.contains(c) || a < c) pairEncs += ((a, c, buf.toSeq))

@@ -1,20 +1,13 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.{clique, randomGraph}
 import repro.core.model.FlatModel
 import repro.graph.LocalGraph
 import scala.util.Random
 
 /** Flat-model substrate and the four competitor algorithms. */
 class BaselinesSpec extends AnyFunSuite {
-
-  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
-  }
-
-  def clique(n: Int): LocalGraph =
-    LocalGraph.fromEdges(for { i <- 0 until n; j <- i + 1 until n } yield (i.toLong, j.toLong))
 
   // ---- FlatModel.encode -----------------------------------------------------
 

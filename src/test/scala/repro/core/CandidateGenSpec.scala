@@ -1,17 +1,12 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.randomGraph
 import repro.core.local.{CandidateGen, MergeEngine, SummaryState}
 import repro.graph.LocalGraph
-import scala.util.Random
 
 /** Min-hash candidate generation (paper §III-B2). */
 class CandidateGenSpec extends AnyFunSuite {
-
-  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
-  }
 
   test("mix is deterministic and spreads values") {
     assert(CandidateGen.mix(1, 42) == CandidateGen.mix(1, 42))

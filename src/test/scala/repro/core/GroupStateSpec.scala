@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.randomGraph
 import repro.core.local.{CandidateGen, MergeEngine, SummaryState}
 import repro.core.spark.{GroupState, SluggerSpark}
 import repro.graph.LocalGraph
@@ -8,14 +9,13 @@ import scala.util.Random
 
 /** The executor-side snapshot is complete: on every candidate set, running
   * Algorithm 2 on a [[GroupState]] built from the task makes exactly the
-  * merges that `processGroup` makes on the full [[SummaryState]].
+  * merges that `processGroup` makes on the full [[SummaryState]]. Both get
+  * the set as `CandidateGen` emits it (live roots, taken as given; the
+  * snapshot has no parent map to resolve anything else) and the same RNG
+  * seed, and both run the one `MergeEngine.greedy` loop, so they pop the
+  * same roots in the same order.
   */
 class GroupStateSpec extends AnyFunSuite {
-
-  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
-  }
 
   /** Disjoint 6-cliques plus random noise edges: deep, mergeable families. */
   def cliquesPlusNoise(nCliques: Int, noise: Int, seed: Long): LocalGraph = {

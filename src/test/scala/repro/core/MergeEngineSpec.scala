@@ -1,12 +1,16 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.randomGraph
+import repro.baselines.{FlatState, Sweg}
 import repro.core.encode.Enc
 import repro.core.local.{CandidateGen, MergeEngine, SummaryState}
 import repro.graph.LocalGraph
 import scala.util.Random
 
-/** Saving function, thresholds, Lemma 1 and commit bookkeeping. */
+/** Saving function, thresholds, Lemma 1, commit bookkeeping and the
+  * candidate-set check of the shared Algorithm 2 loop.
+  */
 class MergeEngineSpec extends AnyFunSuite {
   import MergeEngineSpec.pairKeyMismatches
 
@@ -19,6 +23,7 @@ class MergeEngineSpec extends AnyFunSuite {
     assert(e.theta(4, 20) == 0.2)
     assert(e.theta(20, 20) == 0.0)
     assert(e.theta(19, 20) == 1.0 / 20)
+    assert((1 to 20).forall(t => e.theta(t, 20) == MergeEngine.theta(t, 20)))
   }
 
   test("Lemma 1: merging roots at distance >= 3 always increases the cost") {
@@ -55,11 +60,6 @@ class MergeEngineSpec extends AnyFunSuite {
     val e = new MergeEngine(new SummaryState(g))
     // before: 8 edges; after: 2 h + 4 cross edges = 6 -> saving 0.25
     assert(math.abs(e.saving(0, 1) - 0.25) < 1e-9)
-  }
-
-  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
   }
 
   /** Disjoint 10-cliques, each edge dropped with probability 0.15, plus
@@ -172,6 +172,28 @@ class MergeEngineSpec extends AnyFunSuite {
     e.processGroup(0 until 10, th = 0.0, new Random(1), heightBound = 1)
     (0 until st.nSupers).foreach(x => assert(st.heightOf(x) <= 1))
     assert(st.toSummary.decompress == g.edgeSet)
+  }
+
+  test("Algorithm 2 rejects a candidate set holding a merged-away id or a duplicate, naming the id") {
+    // twins 0 and 1 over neighbors 2..5; each state merges the twins first
+    val g = LocalGraph.fromEdges(for (t <- 0 to 1; o <- 2 to 5) yield (t.toLong, o.toLong))
+    val st = new SummaryState(g)
+    val e = new MergeEngine(st)
+    e.merge(0, 1)
+    val fs = new FlatState(g)
+    val swegGone = 1 - fs.merge(0, 1) // FlatState keeps one twin's id
+    def slugger(set: Seq[Int]): Int = e.processGroup(set, th = 0.0, new Random(1))
+    def sweg(set: Seq[Int]): Int =
+      MergeEngine.greedy(set, new Random(1), fs.cnt.contains)(Sweg.partner(fs, 0.0))(fs.merge)
+    for ((name, run, gone) <- Seq(("SLUGGER", slugger _, 0), ("SWEG", sweg _, swegGone))) {
+      val stale = intercept[IllegalArgumentException](run(Seq(2, gone, 3)))
+      assert(stale.getMessage.contains(s"candidate set holds $gone, which is not a live root"),
+        s"$name: ${stale.getMessage}")
+      val dup = intercept[IllegalArgumentException](run(Seq(2, 3, 4, 3)))
+      assert(dup.getMessage.contains("candidate set holds 3 twice"), s"$name: ${dup.getMessage}")
+    }
+    // both sets are rejected before any merge
+    assert(st.nSupers == g.n + 1 && fs.cnt.size == g.n - 1)
   }
 
   test("processGroup with threshold 1 merges nothing") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.randomGraph
 import repro.core.local.{CandidateGen, MergeEngine, PruneState, Pruner, SummaryState}
 import repro.graph.LocalGraph
 import scala.collection.mutable
@@ -8,11 +9,6 @@ import scala.util.Random
 
 /** Pruning substeps (paper §III-B4, Algorithm 3). */
 class PrunerSpec extends AnyFunSuite {
-
-  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
-  }
 
   /** Run the merge phase only and hand back (graph, prune state). */
   def merged(g: LocalGraph, bigT: Int = 8, seed: Long = 1): (LocalGraph, PruneState) = {

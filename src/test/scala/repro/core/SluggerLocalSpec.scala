@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.TestGraphs.{clique, randomGraph}
 import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
 import repro.graph.LocalGraph
 import scala.util.Random
@@ -9,14 +10,6 @@ import scala.util.Random
 class SluggerLocalSpec extends SparkSpec {
 
   /** Deterministic random graph G(n, p)-ish. */
-  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
-  }
-
-  def clique(n: Int): LocalGraph =
-    LocalGraph.fromEdges(for { i <- 0 until n; j <- i + 1 until n } yield (i.toLong, j.toLong))
-
   def star(n: Int): LocalGraph =
     LocalGraph.fromEdges((1 until n).map(i => (0L, i.toLong)))
 

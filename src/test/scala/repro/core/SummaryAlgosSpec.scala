@@ -1,21 +1,16 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.randomGraph
 import repro.core.local.Slugger
 import repro.core.model.{HierSummary, SummaryAlgos}
 import repro.graph.LocalGraph
-import scala.util.Random
 
 /** Algorithms on the summary (paper §VIII-C) must agree with the same
   * algorithms on the raw graph — the summary is accessed only through
   * partial decompression.
   */
 class SummaryAlgosSpec extends AnyFunSuite {
-
-  def randomGraph(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    LocalGraph.fromEdges(Seq.fill(m)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
-  }
 
   def summarize(g: LocalGraph): HierSummary =
     Slugger.summarize(g, Slugger.Config(T = 8, seed = 5)).summary
