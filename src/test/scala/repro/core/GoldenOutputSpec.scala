@@ -18,7 +18,8 @@ import scala.util.hashing.MurmurHash3
   * DataFrame candidate sets to `CandidateGen.groups` on the driver, which
   * changes its sets and their replay order by design.
   * The four baselines are pinned the same way (`pPlus` and `pMinus` in
-  * order, `parent`, `alive`) on the PR stand-in. No level-0 shingle bucket
+  * order, `parent`, `alive`) on the PR stand-in, and RANDOMIZED and SAGS
+  * also on the clique union. No level-0 shingle bucket
   * of the cap-16 inputs exceeds 16 roots, so the fifth input runs the
   * clique union at cap 4, where candidate generation both refines buckets
   * and splits them at random; that test asserts both on iteration 1.
@@ -84,5 +85,11 @@ class GoldenOutputSpec extends SparkSpec {
     check("SWEG", Sweg.summarize(g, 10, 42), 1732307223)
     check("SAGS", Sags.summarize(g), -1501764964)
     check("MOSSO-LITE", MossoLite.summarize(g), -1137636431)
+  }
+
+  test("RANDOMIZED and SAGS on cliques plus noise match their recorded outputs") {
+    val g = LocalGraph.fromDF(GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9))
+    check("RANDOMIZED cliques", Randomized.summarize(g), -258679278)
+    check("SAGS cliques", Sags.summarize(g), -1237933933)
   }
 }
