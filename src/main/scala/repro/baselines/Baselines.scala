@@ -15,50 +15,46 @@ object Randomized {
     val fs = new FlatState(g)
     val rng = new Random(seed)
     val unfinished = mutable.LinkedHashSet.from(rng.shuffle((0 until g.n).toList))
+    // a live root u leaves once finished; a merge swaps u and its partner
+    // for the survivor, so the set holds only live roots
     while (unfinished.nonEmpty) {
-      val u0 = unfinished.head
-      val u = fs.find(u0)
-      if (u != u0 || !fs.cnt.contains(u0)) unfinished.remove(u0)
-      else {
-        // 2-hop candidate supernodes
-        val oneHop = fs.cnt(u).keysIterator.filter(_ != u).toArray
-        val twoHop = mutable.HashSet.empty[Int]
-        oneHop.foreach { c =>
-          twoHop += c
-          fs.cnt(c).keysIterator.foreach(d => if (d != u && d != c) twoHop += d)
-        }
-        var best = -1; var bestGain = 0.0
-        twoHop.foreach { v =>
-          val s = fs.gain(u, v)
-          if (s > bestGain) { bestGain = s; best = v }
-        }
-        if (best >= 0) {
-          val w = fs.merge(u, best)
-          unfinished.remove(u0)
-          unfinished.remove(best)
-          unfinished += w
-        } else unfinished.remove(u0)
+      val u = unfinished.head
+      // 2-hop candidate supernodes
+      val oneHop = fs.cnt(u).keysIterator.filter(_ != u).toArray
+      val twoHop = mutable.HashSet.empty[Int]
+      oneHop.foreach { c =>
+        twoHop += c
+        fs.cnt(c).keysIterator.foreach(d => if (d != u && d != c) twoHop += d)
+      }
+      var best = -1; var bestGain = 0.0
+      twoHop.foreach { v =>
+        val s = fs.gain(u, v)
+        if (s > bestGain) { bestGain = s; best = v }
+      }
+      unfinished.remove(u)
+      if (best >= 0) {
+        unfinished.remove(best)
+        unfinished += fs.merge(u, best)
       }
     }
     FlatModel.encode(g, fs.superOf)
   }
 }
 
-/** SWEG (Shin et al., WWW'19), lossless variant (eps = 0): min-hash grouping
-  * as in SLUGGER, then within each group SLUGGER's Algorithm 2 loop
-  * ([[MergeEngine.greedy]]), which pairs each popped supernode with the
-  * group member of highest neighborhood Jaccard similarity and merges if the
-  * flat-model saving clears the threshold θ(t) of Eq. (9).
+/** SWEG (Shin et al., WWW'19), lossless variant (eps = 0): SLUGGER's
+  * merging phase ([[MergeEngine.mergePhase]]: T iterations of min-hash
+  * candidate sets, at most 500 roots each) with SLUGGER's Algorithm 2 loop
+  * ([[MergeEngine.greedy]]) in each set, which pairs each popped supernode
+  * with the set member of highest neighborhood Jaccard similarity and merges
+  * if the flat-model saving clears the threshold θ(t) of Eq. (9).
   */
 object Sweg {
   def summarize(g: LocalGraph, bigT: Int = 20, seed: Long = 42): HierSummary = {
     val fs = new FlatState(g)
-    for (t <- 1 to bigT) {
-      val th = MergeEngine.theta(t, bigT)
-      val rng = new Random(seed * 31 + t)
-      CandidateGen.groupsOf(g, fs.find, seed + 7919L * t).foreach { d =>
-        MergeEngine.greedy(d, rng, fs.cnt.contains)(partner(fs, th))(fs.merge)
-      }
+    MergeEngine.mergePhase(g, fs.find, bigT, seed, maxGroupSize = 500) { (sets, th, rngSeed) =>
+      val rng = new Random(rngSeed)
+      sets.foldLeft(0L)((merges, d) =>
+        merges + MergeEngine.greedy(d, rng, fs.cnt.contains)(partner(fs, th))(fs.merge))
     }
     FlatModel.encode(g, fs.superOf)
   }
@@ -114,15 +110,11 @@ object Sags {
         val hv = CandidateGen.rootShinglesOf(g, fs.find, seed + band * 1000 + row, 0)
         hv.foreach { case (root, v) => sig(root) = v :: sig.getOrElse(root, Nil) }
       }
+      // the buckets partition the band's roots, so each member is still a
+      // root when reached: one draw per member after the first
       sig.toSeq.groupBy(_._2).valuesIterator.foreach { bucket =>
-        val nodes = bucket.map(_._1).filter(fs.cnt.contains).distinct
-        if (nodes.length >= 2) {
-          var acc = fs.find(nodes.head)
-          nodes.tail.foreach { z =>
-            val zz = fs.find(z)
-            if (zz != acc && rng.nextDouble() < p) acc = fs.merge(acc, zz)
-          }
-        }
+        var acc = bucket.head._1
+        bucket.tail.foreach { case (z, _) => if (rng.nextDouble() < p) acc = fs.merge(acc, z) }
       }
     }
     FlatModel.encode(g, fs.superOf)

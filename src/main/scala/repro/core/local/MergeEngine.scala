@@ -1,6 +1,7 @@
 package repro.core.local
 
 import repro.core.encode.{Enc, MinCover, Panel}
+import repro.graph.LocalGraph
 import scala.collection.mutable
 import scala.util.Random
 
@@ -140,7 +141,8 @@ final class MergeEngine(val st: MergeSubstrate) {
   def merge(a: Int, b: Int): Int = {
     require(st.isRoot(a) && st.isRoot(b) && a != b, s"merge($a,$b): not distinct roots")
     val p = plan(a, b)
-    st.pairs(a).remove(b); st.pairs(b).remove(a)
+    val pa = st.pairs.remove(a).get; val pb = st.pairs.remove(b).get
+    pa.remove(b); pb.remove(a)
     val m = st.newSuper(a, b)
 
     // ---- Case 1: internal panel
@@ -148,8 +150,6 @@ final class MergeEngine(val st: MergeSubstrate) {
     st.internal(m) = mutable.ArrayBuffer.from(p.internal.edges(m))
 
     // ---- merge pair maps (smaller into larger), fix neighbors' back-refs
-    val pa = st.pairs.remove(a).getOrElse(mutable.HashMap.empty)
-    val pb = st.pairs.remove(b).getOrElse(mutable.HashMap.empty)
     val (smallP, largeP) = if (pa.size <= pb.size) (pa, pb) else (pb, pa)
     smallP.foreach { case (c, buf) =>
       largeP.get(c) match {
@@ -208,6 +208,20 @@ object MergeEngine {
 
   /** Merging threshold θ(t), Eq. (9). */
   def theta(t: Int, bigT: Int): Double = if (t < bigT) 1.0 / (1.0 + t) else 0.0
+
+  /** Algorithm 1's merging phase, shared by SLUGGER (local and distributed)
+    * and SWEG. For t = 1..T it takes the min-hash candidate sets of the
+    * roots under `find` (seed `seed + 7919·t`, at most `maxGroupSize` roots
+    * each) and calls `mergeSets(sets, θ(t), rngSeed)` with the processing
+    * order's seed `seed·31 + t`; `mergeSets` merges within the sets and
+    * returns the number of merges it committed. Returns the total.
+    */
+  def mergePhase(g: LocalGraph, find: Int => Int, bigT: Int, seed: Long, maxGroupSize: Int)
+                (mergeSets: (Seq[Seq[Int]], Double, Long) => Long): Long =
+    (1 to bigT).foldLeft(0L) { (merges, t) =>
+      merges + mergeSets(CandidateGen.groupsOf(g, find, seed + 7919L * t, maxGroupSize),
+        theta(t, bigT), seed * 31 + t)
+    }
 
   /** Algorithm 2, greedy merging within one candidate set, shared by
     * SLUGGER ([[MergeEngine.processGroup]]) and SWEG. `roots` must be

@@ -170,7 +170,7 @@ object Pruner {
     * then repeat silently for `rounds - 1` extra rounds (the paper notes
     * the substeps "can be repeated a few times").
     */
-  def prune(ps: PruneState, g: LocalGraph, rounds: Int = 2,
+  def prune(ps: PruneState, g: LocalGraph, rounds: Int,
             onSnapshot: (String, Metrics) => Unit = (_, _) => ()): Unit = {
     onSnapshot("0", ps.metrics)
     step1(ps); onSnapshot("1", ps.metrics)

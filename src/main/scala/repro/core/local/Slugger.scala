@@ -7,8 +7,9 @@ import scala.util.Random
 /** SLUGGER (Algorithm 1): scalable lossless hierarchical graph summarization.
   *
   * Initializes the summary to the input graph, then alternates candidate
-  * generation and greedy merging for T iterations, and finally prunes
-  * supernodes that do not contribute to a succinct encoding.
+  * generation and greedy merging for T iterations
+  * ([[MergeEngine.mergePhase]]), and finally prunes supernodes that do not
+  * contribute to a succinct encoding.
   */
 object Slugger {
 
@@ -36,29 +37,25 @@ object Slugger {
   final case class Result(summary: HierSummary, snapshots: Seq[(String, Metrics)],
                           mergeMillis: Long, pruneMillis: Long, totalMerges: Long)
 
-  def summarize(g: LocalGraph, cfg: Config = Config()): Result = run(g, cfg) { (st, engine, t) =>
-    val groups = CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize)
-    val th = MergeEngine.theta(t, cfg.T)
-    val rng = new Random(cfg.seed * 31 + t)
-    groups.foldLeft(0L)((merges, d) => merges + engine.processGroup(d, th, rng, cfg.heightBound))
-  }
+  def summarize(g: LocalGraph, cfg: Config = Config()): Result =
+    run(g, cfg) { (_, engine, sets, th, rngSeed) =>
+      val rng = new Random(rngSeed)
+      sets.foldLeft(0L)((merges, d) => merges + engine.processGroup(d, th, rng, cfg.heightBound))
+    }
 
-  /** Algorithm 1's skeleton: initialize the state, run `iteration(st, engine,
-    * t)` for t = 1..T (it returns the number of merges it committed), then
-    * prune. [[summarize]] and [[repro.core.spark.SluggerSpark]] differ only
-    * in how one iteration finds its candidate sets and merges within them.
+  /** Algorithm 1's skeleton: initialize the state, run the merging phase
+    * ([[MergeEngine.mergePhase]]) with `mergeSets(st, engine, sets, θ(t),
+    * rngSeed)` as each iteration's merging step, then prune. [[summarize]]
+    * and [[repro.core.spark.SluggerSpark]] differ only in how they merge
+    * within one iteration's candidate sets.
     */
   private[core] def run(g: LocalGraph, cfg: Config)
-                       (iteration: (SummaryState, MergeEngine, Int) => Long): Result = {
+                       (mergeSets: (SummaryState, MergeEngine, Seq[Seq[Int]], Double, Long) => Long): Result = {
     val st = new SummaryState(g)
     val engine = new MergeEngine(st)
     val t0 = System.nanoTime()
-    var merges = 0L
-    var t = 1
-    while (t <= cfg.T) {
-      merges += iteration(st, engine, t)
-      t += 1
-    }
+    val merges = MergeEngine.mergePhase(g, st.find, cfg.T, cfg.seed, cfg.maxGroupSize)(
+      mergeSets(st, engine, _, _, _))
     val t1 = System.nanoTime()
     val ps = Pruner.fromState(st)
     val snaps = scala.collection.mutable.ArrayBuffer.empty[(String, Metrics)]

@@ -1,7 +1,6 @@
 package repro.core.local
 
 import repro.core.encode.Enc
-import repro.core.model.HierSummary
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
@@ -72,31 +71,11 @@ final class SummaryState(val g: LocalGraph) extends MergeSubstrate {
     m
   }
 
-  /** Total current cost |P+|+|P-|+|H| (pre-pruning; every non-root has one h-edge). */
-  def totalCost: Long = {
-    var internalSum = 0L
-    internal.valuesIterator.foreach(internalSum += _.length)
-    var pairSum = 0L // each pair buffer is registered under both roots: halve
-    pairs.valuesIterator.foreach(m => m.valuesIterator.foreach(pairSum += _.length))
-    val h = (0 until nSupers).count(parentB(_) >= 0).toLong
-    internalSum + pairSum / 2 + h
-  }
-
   /** All current p/n edges, each exactly once. */
   def allEdges: Iterator[Enc] = {
     val own = pairs.iterator.flatMap { case (a, m) =>
       m.iterator.collect { case (c, buf) if a < c => buf }
     }
     internal.valuesIterator.flatMap(_.iterator) ++ own.flatten
-  }
-
-  /** Snapshot as an (unpruned) HierSummary — used by tests to verify
-    * losslessness at any point of the merge phase.
-    */
-  def toSummary: HierSummary = {
-    val pp = mutable.ArrayBuffer.empty[(Int, Int)]
-    val pm = mutable.ArrayBuffer.empty[(Int, Int)]
-    allEdges.foreach(e => if (e.sign > 0) pp += ((e.x, e.y)) else pm += ((e.x, e.y)))
-    HierSummary(nSub, parentB.toArray, Array.fill(parentB.length)(true), pp.toSeq, pm.toSeq)
   }
 }

@@ -8,14 +8,22 @@ import scala.collection.mutable
   */
 object SummaryAlgos {
 
-  /** Depth-first search (Algorithm 5); returns visit order from `start`. */
+  /** Depth-first search (Algorithm 5); returns visit order from `start`:
+    * a vertex, then each of its unvisited neighbors in ascending order with
+    * everything reachable from it. An explicit stack of neighbor iterators
+    * keeps deep graphs (a long path) off the JVM call stack.
+    */
   def dfs(s: HierSummary, start: Int): Seq[Int] = {
-    val visited = mutable.LinkedHashSet.empty[Int]
-    def go(v: Int): Unit = {
-      visited += v
-      s.neighbors(v).toSeq.sorted.foreach(u => if (!visited.contains(u)) go(u))
+    val visited = mutable.LinkedHashSet(start)
+    val stack = mutable.Stack(s.neighbors(start).toSeq.sorted.iterator)
+    while (stack.nonEmpty) {
+      val it = stack.top
+      if (!it.hasNext) stack.pop()
+      else {
+        val u = it.next()
+        if (visited.add(u)) stack.push(s.neighbors(u).toSeq.sorted.iterator)
+      }
     }
-    go(start)
     visited.toSeq
   }
 

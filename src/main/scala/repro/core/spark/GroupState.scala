@@ -12,7 +12,6 @@ import scala.util.Random
   * families of neighbor roots (for Case 2 panels).
   */
 final case class GroupTask(
-    groupKey: Long,                              // index of the set in its iteration's candidate sets
     nSub: Int,
     idBase: Int,                                 // temp id range for in-task merges
     roots: Seq[RootInfo],
@@ -26,12 +25,6 @@ final case class GroupTask(
 final case class RootInfo(id: Int, famSize: Int, height: Int,
                           children: Seq[Int], internalEdges: Seq[Enc])
 
-/** The merge decisions an executor made for one group, in order. The k-th
-  * merge creates temp id `idBase + k`; the driver replays them against the
-  * global state, mapping temp ids to real ids as it goes.
-  */
-final case class GroupDecisions(groupKey: Long, merges: Seq[(Int, Int)])
-
 /** Executor-side [[MergeSubstrate]] reconstructed from a [[GroupTask]].
   *
   * Neighbor (foreign) roots get stub entries in `pairs` and `childrenOf` so
@@ -39,8 +32,10 @@ final case class GroupDecisions(groupKey: Long, merges: Seq[(Int, Int)])
   * panels. Only the group's roots, and the roots merged from them, have a
   * `famSize` entry, so they are the only roots here
   * ([[MergeSubstrate.isRoot]]) and the only ones ever merged. [[newSuper]]
-  * records every merge in `merges`, the decision list replayed on the
-  * driver.
+  * records every merge in `merges`, the list [[GroupState.run]] returns for
+  * the driver to replay. Every id the engine asks about is one of these
+  * roots, a merger of them or a neighbor root, so the hierarchy lookups are
+  * plain: a missing id fails loudly.
   */
 final class GroupState(task: GroupTask) extends MergeSubstrate {
   val famSize  = mutable.HashMap.empty[Int, Int]
@@ -68,8 +63,8 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
   }
 
   def isLeafSuper(x: Int): Boolean = x < task.nSub
-  def childrenOf(x: Int): Seq[Int] = childrenMap.getOrElse(x, Nil)
-  def heightOf(x: Int): Int = heightMap.getOrElse(x, 0)
+  def childrenOf(x: Int): Seq[Int] = childrenMap(x)
+  def heightOf(x: Int): Int = heightMap(x)
 
   def newSuper(a: Int, b: Int): Int = {
     val m = task.idBase + merges.length
@@ -82,11 +77,14 @@ final class GroupState(task: GroupTask) extends MergeSubstrate {
 
 object GroupState {
 
-  /** Run Algorithm 2 for one task, recording the merge decisions. */
-  def run(task: GroupTask): GroupDecisions = {
+  /** Run Algorithm 2 for one task; returns the merged pairs in commit order.
+    * The k-th creates temp id `idBase + k`; the driver replays them against
+    * the global state, mapping temp ids to real ids as it goes.
+    */
+  def run(task: GroupTask): Seq[(Int, Int)] = {
     val gs = new GroupState(task)
     new MergeEngine(gs).processGroup(task.roots.map(_.id), task.theta,
       new Random(task.rngSeed), task.heightBound)
-    GroupDecisions(task.groupKey, gs.merges.toSeq)
+    gs.merges.toSeq
   }
 }

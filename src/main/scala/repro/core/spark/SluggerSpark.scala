@@ -1,20 +1,21 @@
 package repro.core.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
+import repro.core.local.{MergeEngine, Slugger, SummaryState}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
-/** Distributed SLUGGER: one iteration of Algorithm 1 ([[Slugger.run]],
-  * shared with the local mode) on Spark.
+/** Distributed SLUGGER: Algorithm 1 ([[Slugger.run]], shared with the
+  * local mode) with each iteration's merging step on Spark.
   *   - Candidate generation runs on the driver, which holds the graph and
-  *     the state: [[tasks]] turns the local mode's `CandidateGen.groups`
-  *     sets (an O(|E|) min-hash pass) into one [[GroupTask]] each.
+  *     the state: [[MergeEngine.mergePhase]] hands over the local mode's
+  *     `CandidateGen` sets (an O(|E|) min-hash pass), and [[buildTask]]
+  *     turns each into one [[GroupTask]].
   *   - Merging, the dominant cost (Lemma 3), fans out as one RDD job over
   *     the tasks; each executor runs the local mode's own Algorithm 2
   *     (`MergeEngine.processGroup`) on a [[GroupState]] snapshot, which
   *     records the merges it commits.
-  *   - The decisions are replayed in candidate-set order into the
+  *   - The merge lists are replayed in candidate-set order into the
   *     driver-held state (one commit per accepted merge), which keeps the
   *     encoding globally consistent without cross-group write conflicts.
   *
@@ -31,44 +32,35 @@ object SluggerSpark {
 
   def summarize(spark: SparkSession, edges: DataFrame,
                 cfg: Slugger.Config = Slugger.Config()): Slugger.Result =
-    Slugger.run(LocalGraph.fromDF(edges), cfg) { (st, engine, t) =>
+    Slugger.run(LocalGraph.fromDF(edges), cfg) { (st, engine, sets, th, rngSeed) =>
+      val tasks = sets.map(buildTask(st, _, th, cfg.heightBound, rngSeed))
       // collect keeps the tasks' order, so replay follows the candidate sets'
-      replay(st, engine, spark.sparkContext.parallelize(tasks(st, cfg, MergeEngine.theta(t, cfg.T), t))
-        .map(GroupState.run).collect())
+      replay(st, engine, spark.sparkContext.parallelize(tasks).map(GroupState.run).collect())
     }
 
-  /** Replay one iteration's decisions, in order, against the authoritative
-    * state, mapping the executors' temp ids to the real ids allocated here.
-    * Returns the number of merges committed.
+  /** Replay one iteration's merge lists, one per candidate set in order,
+    * against the authoritative state, mapping the executors' temp ids to
+    * the real ids allocated here. Returns the number of merges committed.
     */
   private[core] def replay(st: SummaryState, engine: MergeEngine,
-                           decisions: Iterable[GroupDecisions]): Long = {
+                           mergeLists: Iterable[Seq[(Int, Int)]]): Long = {
     // every task was built before any replay, so all share this temp id base
     val idBase = st.nSupers
-    decisions.foreach { d =>
+    mergeLists.iterator.zipWithIndex.foreach { case (merges, i) =>
       val tempMap = mutable.HashMap.empty[Int, Int]
-      d.merges.iterator.zipWithIndex.foreach { case ((a0, b0), k) =>
+      merges.iterator.zipWithIndex.foreach { case ((a0, b0), k) =>
         val a = tempMap.getOrElse(a0, a0)
         val b = tempMap.getOrElse(b0, b0)
         require(a != b && st.isRoot(a) && st.isRoot(b),
-          s"group ${d.groupKey}, merge $k: ($a0, $b0) -> ($a, $b) does not join two live roots")
+          s"candidate set $i, merge $k: ($a0, $b0) -> ($a, $b) does not join two live roots")
         tempMap(idBase + k) = engine.merge(a, b)
       }
     }
-    decisions.iterator.map(_.merges.length.toLong).sum
+    mergeLists.iterator.map(_.length.toLong).sum
   }
 
-  /** Iteration t's tasks: one per candidate set of `CandidateGen.groups`,
-    * in its order, keyed by the set's index.
-    */
-  private[core] def tasks(st: SummaryState, cfg: Slugger.Config, theta: Double,
-                          t: Int): Seq[GroupTask] =
-    CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize).zipWithIndex.map {
-      case (roots, k) => buildTask(st, k.toLong, roots, theta, cfg.heightBound, cfg.seed * 31 + t)
-    }
-
   /** Snapshot everything one candidate set needs (see [[GroupTask]]). */
-  private[core] def buildTask(st: SummaryState, key: Long, rootIds: Seq[Int],
+  private[core] def buildTask(st: SummaryState, rootIds: Seq[Int],
                               theta: Double, heightBound: Int, rngSeed: Long): GroupTask = {
     val inGroup = rootIds.toSet
     val roots = rootIds.map { r =>
@@ -83,7 +75,7 @@ object SluggerSpark {
         if (!inGroup.contains(c)) nbrChildren.getOrElseUpdate(c, st.childrenOf(c))
       }
     }
-    GroupTask(key, st.nSub, st.nSupers, roots, nbrChildren.toMap,
+    GroupTask(st.nSub, st.nSupers, roots, nbrChildren.toMap,
               pairEncs.toSeq, theta, heightBound, rngSeed)
   }
 }

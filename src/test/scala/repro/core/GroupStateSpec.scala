@@ -8,8 +8,9 @@ import repro.graph.LocalGraph
 import scala.util.Random
 
 /** The executor-side snapshot is complete: on every candidate set, running
-  * Algorithm 2 on a [[GroupState]] built from the task makes exactly the
-  * merges that `processGroup` makes on the full [[SummaryState]]. Both get
+  * Algorithm 2 on a [[GroupState]] built from the task (`GroupState.run`,
+  * which returns its merge list) makes exactly the merges that
+  * `processGroup` makes on the full [[SummaryState]]. Both get
   * the set as `CandidateGen` emits it (live roots, taken as given; the
   * snapshot has no parent map to resolve anything else) and the same RNG
   * seed, and both run the one `MergeEngine.greedy` loop, so they pop the
@@ -41,12 +42,10 @@ class GroupStateSpec extends AnyFunSuite {
       CandidateGen.groups(st, seed + 7919L * t, maxSize = 12).zipWithIndex.foreach { case (group, i) =>
         val rngSeed = seed * 31 + 1000L * t + i
         val idBase = st.nSupers
-        val decisions = GroupState.run(
-          SluggerSpark.buildTask(st, i.toLong, group, th, heightBound, rngSeed))
+        val decisions = GroupState.run(SluggerSpark.buildTask(st, group, th, heightBound, rngSeed))
         val merges = engine.processGroup(group, th, new Random(rngSeed), heightBound)
-        assert(decisions.groupKey == i.toLong)
-        assert(decisions.merges.length == merges, s"t=$t group $i: merge count")
-        decisions.merges.zipWithIndex.foreach { case ((a, b), k) =>
+        assert(decisions.length == merges, s"t=$t group $i: merge count")
+        decisions.zipWithIndex.foreach { case ((a, b), k) =>
           assert(st.childrenOf(idBase + k) == Seq(a, b), s"t=$t group $i merge $k")
         }
         compared += merges

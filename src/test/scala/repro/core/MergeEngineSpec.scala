@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs.randomGraph
 import repro.baselines.{FlatState, Sweg}
 import repro.core.encode.Enc
-import repro.core.local.{CandidateGen, MergeEngine, SummaryState}
+import repro.core.local.{MergeEngine, Pruner, SummaryState}
 import repro.graph.LocalGraph
 import scala.util.Random
 
@@ -86,10 +86,9 @@ class MergeEngineSpec extends AnyFunSuite {
     val bigT = 6
     val run = new SummaryState(g)
     val runEngine = new MergeEngine(run)
-    for (t <- 1 to bigT) {
-      val rng = new Random(seed * 31 + t)
-      CandidateGen.groups(run, seed + 7919L * t, maxSize = 16).foreach(d =>
-        runEngine.processGroup(d, runEngine.theta(t, bigT), rng, heightBound))
+    MergeEngine.mergePhase(g, run.find, bigT, seed, maxGroupSize = 16) { (sets, th, rngSeed) =>
+      val rng = new Random(rngSeed)
+      sets.foldLeft(0L)((merges, d) => merges + runEngine.processGroup(d, th, rng, heightBound))
     }
     val st = new SummaryState(g)
     val e = new MergeEngine(st)
@@ -100,7 +99,7 @@ class MergeEngineSpec extends AnyFunSuite {
       assert(e.merge(ch(0), ch(1)) == m)
       assert(st.rootCost(m).toLong == predicted,
         s"merge $m of $ch: predicted $predicted vs actual ${st.rootCost(m)}")
-      assert(st.toSummary.decompress == g.edgeSet, s"merge $m of $ch is not lossless")
+      assert(Pruner.fromState(st).toSummary.decompress == g.edgeSet, s"merge $m of $ch is not lossless")
       val bad = pairKeyMismatches(g, st)
       assert(bad.isEmpty, s"after merge $m of $ch: pair-map keys of roots $bad")
       sawNEdge ||= st.allEdges.exists(_.sign < 0)
@@ -137,7 +136,7 @@ class MergeEngineSpec extends AnyFunSuite {
     assert(st.find(0) == m && st.find(1) == m)
     assert(st.isRoot(m) && !st.isRoot(0) && !st.isRoot(1))
     assert(st.famSize(m) == 3)
-    assert(st.toSummary.decompress == g.edgeSet)
+    assert(Pruner.fromState(st).toSummary.decompress == g.edgeSet)
   }
 
   test("a merge rejects a panel edge at a position that is not a slot") {
@@ -160,7 +159,7 @@ class MergeEngineSpec extends AnyFunSuite {
     val mTop2 = e.merge(mTop, 2)
     val mBot = e.merge(3, 4)
     val mBot2 = e.merge(mBot, 5)
-    assert(st.toSummary.decompress == g.edgeSet)
+    assert(Pruner.fromState(st).toSummary.decompress == g.edgeSet)
     // the core should now be encoded by very few cross edges
     assert(st.pairs(st.find(mTop2))(st.find(mBot2)).length <= 2)
   }
@@ -171,7 +170,7 @@ class MergeEngineSpec extends AnyFunSuite {
     val e = new MergeEngine(st)
     e.processGroup(0 until 10, th = 0.0, new Random(1), heightBound = 1)
     (0 until st.nSupers).foreach(x => assert(st.heightOf(x) <= 1))
-    assert(st.toSummary.decompress == g.edgeSet)
+    assert(Pruner.fromState(st).toSummary.decompress == g.edgeSet)
   }
 
   test("Algorithm 2 rejects a candidate set holding a merged-away id or a duplicate, naming the id") {

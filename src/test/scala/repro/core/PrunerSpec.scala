@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs.randomGraph
-import repro.core.local.{CandidateGen, MergeEngine, PruneState, Pruner, SummaryState}
+import repro.core.local.{CandidateGen, MergeEngine, PruneState, Pruner, Slugger, SummaryState}
 import repro.graph.LocalGraph
 import scala.collection.mutable
 import scala.util.Random
@@ -122,7 +122,7 @@ class PrunerSpec extends AnyFunSuite {
       val g = randomGraph(50, 130, seed)
       val (_, ps) = merged(g)
       var last = Long.MaxValue
-      Pruner.prune(ps, g, rounds = 2, (label, met) => {
+      Pruner.prune(ps, g, Slugger.Config().pruneRounds, (label, met) => {
         assert(met.cost <= last, s"substep $label increased cost (seed $seed)")
         last = met.cost
       })
@@ -136,7 +136,7 @@ class PrunerSpec extends AnyFunSuite {
         yield ((c * 8 + i).toLong, (c * 8 + j).toLong)) ++ Seq((0L, 8L), (8L, 16L)))
     val (_, ps) = merged(g, bigT = 12)
     val h0 = ps.metrics.maxHeight
-    Pruner.prune(ps, g)
+    Pruner.prune(ps, g, Slugger.Config().pruneRounds)
     assert(ps.metrics.maxHeight <= h0)
     assert(ps.toSummary.decompress == g.edgeSet)
   }

@@ -2,8 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 import repro.TestGraphs.{clique, randomGraph}
-import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
-import repro.graph.LocalGraph
+import repro.core.local.{CandidateGen, MergeEngine, Pruner, Slugger, SummaryState}
+import repro.graph.{GraphGen, LocalGraph}
 import scala.util.Random
 
 /** End-to-end losslessness and behavior of the local SLUGGER. */
@@ -67,7 +67,7 @@ class SluggerLocalSpec extends SparkSpec {
       val groups = CandidateGen.groups(st, 1000 + t)
       val rng = new Random(t)
       groups.foreach(d => engine.processGroup(d, engine.theta(t, 5), rng))
-      assert(st.toSummary.decompress == g.edgeSet, s"lossy after iteration $t")
+      assert(Pruner.fromState(st).toSummary.decompress == g.edgeSet, s"lossy after iteration $t")
     }
   }
 
@@ -81,9 +81,23 @@ class SluggerLocalSpec extends SparkSpec {
     }
     val bad = MergeEngineSpec.pairKeyMismatches(g, st)
     assert(bad.isEmpty, s"pair-map keys of roots $bad")
-    val cost = st.totalCost
-    val summ = st.toSummary
-    assert(cost == summ.cost, s"totalCost $cost vs summary ${summ.cost}")
+  }
+
+  test("iteration t merges CandidateGen's sets for seed + 7919·t at θ(t) with RNG seed seed·31 + t") {
+    val g = LocalGraph.fromDF(GraphGen.erdosRenyi(spark, 200, 600))
+    val cfg = Slugger.Config(T = 3, maxGroupSize = 16)
+    val thetas = scala.collection.mutable.ArrayBuffer.empty[Double]
+    val r = Slugger.run(g, cfg) { (st, engine, sets, th, rngSeed) =>
+      val t = thetas.length + 1
+      thetas += th
+      assert(sets == CandidateGen.groups(st, cfg.seed + 7919L * t, cfg.maxGroupSize), s"t=$t: candidate sets")
+      assert(th == MergeEngine.theta(t, cfg.T), s"t=$t: θ")
+      assert(rngSeed == cfg.seed * 31 + t, s"t=$t: RNG seed")
+      val rng = new Random(rngSeed)
+      sets.foldLeft(0L)((merges, d) => merges + engine.processGroup(d, th, rng, cfg.heightBound))
+    }
+    assert(thetas.length == cfg.T && thetas.distinct.length == cfg.T)
+    assert(r.totalMerges > 0 && r.totalMerges == Slugger.summarize(g, cfg).totalMerges)
   }
 
   test("maxGroupSize below 2 is rejected with a message naming the field") {

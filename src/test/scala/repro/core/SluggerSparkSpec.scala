@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
+import repro.core.local.{CandidateGen, Slugger}
 import repro.core.model.HierSummary
 import repro.core.spark.{CandidateGenSpark, GroupState, SluggerSpark}
 import repro.graph.{GraphGen, LocalGraph}
@@ -99,18 +99,16 @@ class SluggerSparkSpec extends SparkSpec {
     // to make CandidateGen refine and randomly split buckets as well.
     for (cap <- Seq(16, 4); (name, g) <- inputs) {
       val cfg = Slugger.Config(T = 4, maxGroupSize = cap)
-      val st = new SummaryState(g)
-      val engine = new MergeEngine(st)
-      var (refined, split, checkedMerged) = (false, false, false)
-      for (t <- 1 to cfg.T) {
+      var (t, refined, split, checkedMerged) = (0, false, false, false)
+      // SluggerSpark.summarize's iteration, with the tasks run in-process
+      val r = Slugger.run(g, cfg) { (st, engine, sets, th, rngSeed) =>
+        t += 1
         val at = s"$name, cap $cap, t=$t"
         val seed = cfg.seed + 7919L * t
-        val sets = CandidateGen.groups(st, seed, cap)
-        val th = engine.theta(t, cfg.T)
-        val tasks = SluggerSpark.tasks(st, cfg, th, t)
+        assert(sets == CandidateGen.groups(st, seed, cap), at)
+        val tasks = sets.map(SluggerSpark.buildTask(st, _, th, cfg.heightBound, rngSeed))
         assert(tasks.map(_.roots.map(_.id)) == sets.map(_.filter(st.isRoot)), at)
-        assert(tasks.map(_.groupKey) == tasks.indices.map(_.toLong), at)
-        assert(tasks.forall(k => k.theta == th && k.rngSeed == cfg.seed * 31 + t &&
+        assert(tasks.forall(k => k.theta == th && k.rngSeed == rngSeed &&
           k.idBase == st.nSupers && k.heightBound == cfg.heightBound), at)
 
         // refinement runs on a level-0 bucket above the cap; only the random
@@ -124,7 +122,8 @@ class SluggerSparkSpec extends SparkSpec {
 
         SluggerSpark.replay(st, engine, tasks.map(GroupState.run))
       }
-      assert(st.nSupers > g.n, s"$name, cap $cap: no merge was replayed")
+      assert(t == cfg.T)
+      assert(r.totalMerges > 0, s"$name, cap $cap: no merge was replayed")
       if (cap == 4) assert(refined, s"$name: no bucket was refined")
       if (name == "clique union") {
         assert(checkedMerged, s"cap $cap: no set was checked after a merge")

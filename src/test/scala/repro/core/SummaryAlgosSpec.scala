@@ -32,6 +32,20 @@ class SummaryAlgosSpec extends AnyFunSuite {
     assert(visited == rawBfs(g, 0).keySet)
   }
 
+  test("DFS visits a vertex, then its unvisited neighbors in ascending order, depth first") {
+    // 0-3, 0-1, 1-4, 4-2, 3-5, 6 isolated: from 0, neighbor 1 comes before
+    // 3, and 1's subtree (4, then 2) is finished before 3 is visited
+    val s = HierSummary.identity(7, Iterator((0, 3), (0, 1), (1, 4), (4, 2), (3, 5)))
+    assert(SummaryAlgos.dfs(s, 0) == Seq(0, 1, 4, 2, 3, 5))
+    assert(SummaryAlgos.dfs(s, 6) == Seq(6))
+  }
+
+  test("DFS on a 10,000-vertex path visits every vertex") {
+    val n = 10000
+    val s = HierSummary.identity(n, Iterator.range(0, n - 1).map(i => (i, i + 1)))
+    assert(SummaryAlgos.dfs(s, 0) == (0 until n))
+  }
+
   test("BFS distances on the summary equal BFS distances on the raw graph") {
     for (seed <- 1 to 3) {
       val g = randomGraph(35, 90, seed)
