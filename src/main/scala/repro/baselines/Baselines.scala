@@ -43,15 +43,16 @@ object Randomized {
 
 /** SWEG (Shin et al., WWW'19), lossless variant (eps = 0): SLUGGER's
   * merging phase ([[MergeEngine.mergePhase]]: T iterations of min-hash
-  * candidate sets, at most 500 roots each) with SLUGGER's Algorithm 2 loop
-  * ([[MergeEngine.greedy]]) in each set, which pairs each popped supernode
-  * with the set member of highest neighborhood Jaccard similarity and merges
-  * if the flat-model saving clears the threshold θ(t) of Eq. (9).
+  * candidate sets of at most the paper's `CandidateGen.MaxGroupSize` roots)
+  * with SLUGGER's Algorithm 2 loop ([[MergeEngine.greedy]]) in each set,
+  * which pairs each popped supernode with the set member of highest
+  * neighborhood Jaccard similarity and merges if the flat-model saving
+  * clears the threshold θ(t) of Eq. (9).
   */
 object Sweg {
   def summarize(g: LocalGraph, bigT: Int = 20, seed: Long = 42): HierSummary = {
     val fs = new FlatState(g)
-    MergeEngine.mergePhase(g, fs.find, bigT, seed, maxGroupSize = 500) { (sets, th, rngSeed) =>
+    MergeEngine.mergePhase(g, fs.find, bigT, seed, CandidateGen.MaxGroupSize) { (sets, th, rngSeed) =>
       val rng = new Random(rngSeed)
       sets.foldLeft(0L)((merges, d) =>
         merges + MergeEngine.greedy(d, rng, fs.cnt.contains)(partner(fs, th))(fs.merge))
@@ -122,9 +123,9 @@ object Sags {
 }
 
 /** MoSSo-lite — a simplified offline replay of MoSSo (Ko et al., KDD'20):
-  * edges arrive as a stream; on each arrival, with probability 1-e the
-  * endpoint tries a move proposed by a random neighbor (join its supernode
-  * or separate into a singleton) and accepts it if the flat-model cost drops.
+  * edges arrive as a stream; on each arrival, with probability 1-e, each
+  * endpoint that is still a singleton joins the supernode of a random
+  * neighbor if the flat-model cost drops (a node never leaves a supernode).
   * Corrections are re-derived at the end by the optimal flat encoder. The
   * original maintains them incrementally; compression quality is comparable,
   * speed semantics are not reproduced.

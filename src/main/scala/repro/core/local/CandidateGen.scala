@@ -9,7 +9,7 @@ import scala.util.Random
   * neighborhood) and per root (min over its subnodes). Roots sharing a
   * shingle are within distance 2, the only pairs whose merger can reduce
   * cost (Lemma 1). Oversized buckets are re-divided with fresh hash seeds
-  * up to 10 times and then split randomly to at most `maxSize` roots.
+  * up to [[MaxRefineLevels]] times, then split randomly to `maxSize` roots.
   */
 object CandidateGen {
 
@@ -21,6 +21,8 @@ object CandidateGen {
     z ^ (z >>> 31)
   }
 
+  /** The paper's candidate-set size cap (§III-B2). */
+  val MaxGroupSize = 500
   val MaxRefineLevels = 10
 
   /** Shingle F(root) at one refinement level. */
@@ -52,12 +54,12 @@ object CandidateGen {
   }
 
   /** Partition current roots into candidate sets of size >= 2. */
-  def groups(st: SummaryState, seed: Long, maxSize: Int = 500): Seq[Seq[Int]] =
+  def groups(st: SummaryState, seed: Long, maxSize: Int = MaxGroupSize): Seq[Seq[Int]] =
     groupsOf(st.g, st.find, seed, maxSize)
 
   /** Generic grouping over any subnode -> representative mapping. */
   def groupsOf(g: repro.graph.LocalGraph, find: Int => Int,
-               seed: Long, maxSize: Int = 500): Seq[Seq[Int]] = {
+               seed: Long, maxSize: Int = MaxGroupSize): Seq[Seq[Int]] = {
     val shingleCache = mutable.HashMap.empty[Int, mutable.HashMap[Int, Long]]
     def shingle(level: Int): mutable.HashMap[Int, Long] =
       shingleCache.getOrElseUpdate(level, rootShinglesOf(g, find, seed, level))
@@ -73,7 +75,7 @@ object CandidateGen {
         rng.shuffle(roots).grouped(maxSize).foreach(emit)
       } else {
         val f = shingle(level)
-        roots.groupBy(f.getOrElse(_, Long.MaxValue)).valuesIterator
+        roots.groupBy(f).valuesIterator
           .foreach { sub =>
             if (sub.lengthCompare(roots.length) == 0) split(sub, MaxRefineLevels) // no progress
             else split(sub, level + 1)

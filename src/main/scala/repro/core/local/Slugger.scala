@@ -15,11 +15,13 @@ object Slugger {
 
   /** @param T            candidate-generation + merging iterations (at least 1)
     * @param seed         RNG seed (shingles, processing order)
-    * @param maxGroupSize candidate-set size cap (paper: 500); at least 2,
+    * @param maxGroupSize candidate-set size cap (default: the paper's,
+    *                     [[CandidateGen.MaxGroupSize]]); at least 2,
     *                     the smallest set within which a merge can happen
     * @param heightBound  H_b variant of Table V (at least 1; Int.MaxValue = unbounded)
     */
-  final case class Config(T: Int = 20, seed: Long = 42, maxGroupSize: Int = 500,
+  final case class Config(T: Int = 20, seed: Long = 42,
+                          maxGroupSize: Int = CandidateGen.MaxGroupSize,
                           heightBound: Int = Int.MaxValue) {
     require(T >= 1, s"Slugger.Config.T must be at least 1, got $T")
     require(heightBound >= 1, s"Slugger.Config.heightBound must be at least 1, got $heightBound")

@@ -63,8 +63,16 @@ final case class HierSummary(
   }
 
   /** Height of the hierarchy tree rooted at r (0 for a singleton root). */
-  def heightOf(r: Int): Int =
-    if (children(r).isEmpty) 0 else 1 + children(r).map(heightOf).max
+  def heightOf(r: Int): Int = {
+    var h = 0
+    val stack = mutable.ArrayDeque((r, 0))
+    while (stack.nonEmpty) {
+      val (y, d) = stack.removeLast()
+      if (d > h) h = d
+      children(y).foreach(c => stack.append((c, d + 1)))
+    }
+    h
+  }
 
   def maxHeight: Int = { val rs = roots; if (rs.isEmpty) 0 else rs.map(heightOf).max }
 
@@ -111,19 +119,15 @@ final case class HierSummary(
     // Index edges by endpoint once per summary (lazy, reused across calls).
     val inc = incidentIndex
     val count = mutable.HashMap.empty[Int, Int]
-    var node = v
-    val onPath = mutable.HashSet.empty[Int]
-    while (node >= 0) { onPath += node; node = parent(node) }
-    onPath.foreach { x =>
-      inc.getOrElse(x, Nil).foreach { case (other, sign, loop) =>
-        if (loop) {
-          leavesOf(x).foreach(u => if (u != v) count(u) = count.getOrElse(u, 0) + sign)
-        } else {
-          leavesOf(other).foreach { u =>
-            if (u != v) count(u) = count.getOrElse(u, 0) + sign
-          }
+    var x = v
+    while (x >= 0) {
+      // a loop's other endpoint is x itself
+      inc.getOrElse(x, Nil).foreach { case (other, sign, _) =>
+        leavesOf(other).foreach { u =>
+          if (u != v) count(u) = count.getOrElse(u, 0) + sign
         }
       }
+      x = parent(x)
     }
     count.iterator.collect { case (u, c) if c >= 1 => u }.toSet
   }

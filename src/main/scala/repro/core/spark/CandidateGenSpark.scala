@@ -3,22 +3,22 @@ package repro.core.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.core.local.CandidateGen.{MaxGroupSize, MaxRefineLevels}
 
 /** Distributed candidate generation (paper §III-B2) on DataFrames.
   *
   * Min-hash shingles are computed over the closed neighborhood of every
   * subnode with `xxhash64`, lifted to roots through the membership table,
   * and oversized buckets are iteratively re-keyed with the next shingle
-  * level (up to 10) and finally split randomly via a window row_number —
-  * all as Catalyst plans, no driver-side loops over nodes.
+  * level (up to `CandidateGen.MaxRefineLevels`) and finally split randomly
+  * via a window row_number — all as Catalyst plans, no driver-side loops
+  * over nodes.
   *
   * It is off [[SluggerSpark]]'s path, which takes the driver's
   * `CandidateGen.groups`; it is kept because perfbench's traced run times
   * one `assign` call as `spark.assign_s`.
   */
 object CandidateGenSpark {
-
-  val MaxRefineLevels = 10
 
   /** @param edges   canonical (src, dst) edge list
     * @param members (sub, root) current membership of every subnode
@@ -28,7 +28,7 @@ object CandidateGenSpark {
     * @return (root, grp) — candidate-set key per root
     */
   def assign(spark: SparkSession, edges: DataFrame, members: DataFrame,
-             seed: Long, maxSize: Int = 500, nRoots: Long = Long.MaxValue): DataFrame = {
+             seed: Long, maxSize: Int = MaxGroupSize, nRoots: Long = Long.MaxValue): DataFrame = {
     val nbrs = edges.select(col("src").as("v"), col("dst").as("u"))
       .unionByName(edges.select(col("dst").as("v"), col("src").as("u")))
       .unionByName(members.select(col("sub").as("v"), col("sub").as("u")))

@@ -1,68 +1,72 @@
 package repro.core.spark
 
 import repro.core.encode.Enc
-import repro.core.local.{MergeEngine, MergeSubstrate}
+import repro.core.local.{MergeEngine, MergeSubstrate, SummaryState}
 import scala.collection.mutable
 import scala.util.Random
 
 /** Serializable snapshot of everything one candidate set needs to run the
-  * merging step on an executor: the group's roots (hierarchy tops, internal
-  * encodings), all pair encodings incident to them (whose keys are the
-  * roots' adjacency, see [[MergeSubstrate.pairs]]), and the 1-level
-  * families of neighbor roots (for Case 2 panels).
+  * merging step on an executor: the set's roots, all pair encodings
+  * incident to them (whose keys are the roots' adjacency, see
+  * [[MergeSubstrate.pairs]]), and the direct children of the set's roots
+  * and of their neighbor roots (for Case 1 and Case 2 panels).
   */
 final case class GroupTask(
     nSub: Int,
     idBase: Int,                                 // temp id range for in-task merges
     roots: Seq[RootInfo],
-    neighborChildren: Map[Int, Seq[Int]],        // foreign root -> direct children
-    pairEncs: Seq[(Int, Int, Seq[Enc])],         // (rootA-in-group, otherRoot, edges)
+    children: Map[Int, Seq[Int]],                // set root or neighbor root -> direct children
+    pairEncs: Seq[(Int, Int, Seq[Enc])],         // (rootA-in-set, otherRoot, edges)
     theta: Double,
     heightBound: Int,
     rngSeed: Long,
 )
 
-final case class RootInfo(id: Int, famSize: Int, height: Int,
-                          children: Seq[Int], internalEdges: Seq[Enc])
+final case class RootInfo(id: Int, famSize: Int, height: Int, internalEdges: Seq[Enc])
 
-/** Executor-side [[MergeSubstrate]] reconstructed from a [[GroupTask]].
-  *
-  * Neighbor (foreign) roots get stub entries in `pairs` and `childrenOf` so
-  * the shared [[MergeEngine]] can update back-references and build Case 2
-  * panels. Only the group's roots, and the roots merged from them, have a
-  * `famSize` entry, so they are the only roots here
-  * ([[MergeSubstrate.isRoot]]) and the only ones ever merged. [[newSuper]]
-  * records every merge in `merges`, the list [[GroupState.run]] returns for
-  * the driver to replay. Every id the engine asks about is one of these
-  * roots, a merger of them or a neighbor root, so the hierarchy lookups are
-  * plain: a missing id fails loudly.
+object GroupTask {
+
+  /** Snapshot candidate set `rootIds` of the driver's state. */
+  def of(st: SummaryState, rootIds: Seq[Int],
+         theta: Double, heightBound: Int, rngSeed: Long): GroupTask = {
+    val inSet = rootIds.toSet
+    val children = mutable.HashMap.empty[Int, Seq[Int]]
+    val pairEncs = mutable.ArrayBuffer.empty[(Int, Int, Seq[Enc])]
+    rootIds.foreach { a =>
+      children(a) = st.childrenOf(a)
+      st.pairs(a).foreach { case (c, buf) =>
+        val foreign = !inSet.contains(c)
+        // take in-set pairs once (from the smaller id), foreign pairs always
+        if (foreign || a < c) pairEncs += ((a, c, buf.toSeq))
+        // a neighbor root adjacent to several set roots is snapshot once
+        if (foreign) children.getOrElseUpdate(c, st.childrenOf(c))
+      }
+    }
+    val roots = rootIds.map(r => RootInfo(r, st.famSize(r), st.heightOf(r), st.internal(r).toSeq))
+    GroupTask(st.nSub, st.nSupers, roots, children.toMap, pairEncs.toSeq, theta, heightBound, rngSeed)
+  }
+}
+
+/** Executor-side [[MergeSubstrate]] reconstructed from a [[GroupTask]], with
+  * the hierarchy in maps. Neighbor (foreign) roots get stub entries in
+  * `pairs` so the shared [[MergeEngine]] can update back-references. Only the
+  * set's roots, and the roots merged from them, have a `famSize` entry, so
+  * they are the only roots here ([[MergeSubstrate.isRoot]]) and the only ones
+  * ever merged. [[newSuper]] records every merge in `merges`, the list
+  * [[GroupState.run]] returns for the driver to replay. Every id the engine
+  * asks about is one of these roots, a merger of them or a neighbor root, so
+  * the hierarchy lookups are plain: a missing id fails loudly.
   */
-final class GroupState(task: GroupTask) extends MergeSubstrate {
-  val famSize  = mutable.HashMap.empty[Int, Int]
-  val internal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Enc]]
-  val pairs    = mutable.HashMap.empty[Int, mutable.HashMap[Int, mutable.ArrayBuffer[Enc]]]
-
+final class GroupState(task: GroupTask) extends MergeSubstrate(task.nSub) {
   /** Merged pairs in commit order; the k-th allocated temp id `idBase + k`. */
   val merges = mutable.ArrayBuffer.empty[(Int, Int)]
 
-  private val childrenMap = mutable.HashMap.empty[Int, Seq[Int]]
-  private val heightMap = mutable.HashMap.empty[Int, Int]
+  private val childrenMap = mutable.HashMap.from(task.children)
+  private val heightMap = mutable.HashMap.from(task.roots.iterator.map(r => r.id -> r.height))
 
-  task.roots.foreach { r =>
-    famSize(r.id) = r.famSize
-    internal(r.id) = mutable.ArrayBuffer.from(r.internalEdges)
-    childrenMap(r.id) = r.children
-    heightMap(r.id) = r.height
-    pairs(r.id) = mutable.HashMap.empty
-  }
-  task.neighborChildren.foreach { case (c, ch) => childrenMap.getOrElseUpdate(c, ch) }
-  task.pairEncs.foreach { case (a, c, es) =>
-    val buf = mutable.ArrayBuffer.from(es)
-    pairs(a)(c) = buf
-    pairs.getOrElseUpdate(c, mutable.HashMap.empty)(a) = buf
-  }
+  task.roots.foreach(r => addRoot(r.id, r.famSize, r.internalEdges))
+  task.pairEncs.foreach { case (a, c, es) => link(a, c, es) }
 
-  def isLeafSuper(x: Int): Boolean = x < task.nSub
   def childrenOf(x: Int): Seq[Int] = childrenMap(x)
   def heightOf(x: Int): Int = heightMap(x)
 

@@ -9,8 +9,8 @@ import scala.collection.mutable
   * local mode) with each iteration's merging step on Spark.
   *   - Candidate generation runs on the driver, which holds the graph and
   *     the state: [[MergeEngine.mergePhase]] hands over the local mode's
-  *     `CandidateGen` sets (an O(|E|) min-hash pass), and [[buildTask]]
-  *     turns each into one [[GroupTask]].
+  *     `CandidateGen` sets (an O(|E|) min-hash pass), and
+  *     [[GroupTask.of]] turns each into one task.
   *   - Merging, the dominant cost (Lemma 3), fans out as one RDD job over
   *     the tasks; each executor runs the local mode's own Algorithm 2
   *     (`MergeEngine.processGroup`) on a [[GroupState]] snapshot, which
@@ -33,7 +33,7 @@ object SluggerSpark {
   def summarize(spark: SparkSession, edges: DataFrame,
                 cfg: Slugger.Config = Slugger.Config()): Slugger.Result =
     Slugger.run(LocalGraph.fromDF(edges), cfg) { (st, engine, sets, th, rngSeed) =>
-      val tasks = sets.map(buildTask(st, _, th, cfg.heightBound, rngSeed))
+      val tasks = sets.map(GroupTask.of(st, _, th, cfg.heightBound, rngSeed))
       // collect keeps the tasks' order, so replay follows the candidate sets'
       replay(st, engine, spark.sparkContext.parallelize(tasks).map(GroupState.run).collect())
     }
@@ -57,25 +57,5 @@ object SluggerSpark {
       }
     }
     mergeLists.iterator.map(_.length.toLong).sum
-  }
-
-  /** Snapshot everything one candidate set needs (see [[GroupTask]]). */
-  private[core] def buildTask(st: SummaryState, rootIds: Seq[Int],
-                              theta: Double, heightBound: Int, rngSeed: Long): GroupTask = {
-    val inGroup = rootIds.toSet
-    val roots = rootIds.map { r =>
-      RootInfo(r, st.famSize(r), st.heightOf(r), st.childrenOf(r), st.internal(r).toSeq)
-    }
-    val pairEncs = mutable.ArrayBuffer.empty[(Int, Int, Seq[repro.core.encode.Enc])]
-    val nbrChildren = mutable.HashMap.empty[Int, Seq[Int]]
-    rootIds.foreach { a =>
-      st.pairs(a).foreach { case (c, buf) =>
-        // take in-group pairs once (from the smaller id), foreign pairs always
-        if (!inGroup.contains(c) || a < c) pairEncs += ((a, c, buf.toSeq))
-        if (!inGroup.contains(c)) nbrChildren.getOrElseUpdate(c, st.childrenOf(c))
-      }
-    }
-    GroupTask(st.nSub, st.nSupers, roots, nbrChildren.toMap,
-              pairEncs.toSeq, theta, heightBound, rngSeed)
   }
 }

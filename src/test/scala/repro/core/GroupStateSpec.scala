@@ -2,8 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs.randomGraph
-import repro.core.local.{CandidateGen, MergeEngine, SummaryState}
-import repro.core.spark.{GroupState, SluggerSpark}
+import repro.core.local.{MergeEngine, Slugger, SummaryState}
+import repro.core.spark.{GroupState, GroupTask}
 import repro.graph.LocalGraph
 import scala.util.Random
 
@@ -17,6 +17,7 @@ import scala.util.Random
   * same roots in the same order.
   */
 class GroupStateSpec extends AnyFunSuite {
+  import GroupStateSpec.compareOnEveryGroup
 
   /** Disjoint 6-cliques plus random noise edges: deep, mergeable families. */
   def cliquesPlusNoise(nCliques: Int, noise: Int, seed: Long): LocalGraph = {
@@ -27,43 +28,53 @@ class GroupStateSpec extends AnyFunSuite {
     LocalGraph.fromEdges(cliques ++ Seq.fill(noise)((rng.nextInt(n).toLong, rng.nextInt(n).toLong)))
   }
 
-  /** Runs T iterations, each candidate set first on its task snapshot, then
-    * on the full state (which advances). Both allocate merged ids from
-    * `st.nSupers`, so the k-th decision must be the children of
-    * `idBase + k`. Returns the number of merges compared.
-    */
-  def compareOnEveryGroup(g: LocalGraph, bigT: Int, seed: Long,
-                          heightBound: Int = Int.MaxValue): Int = {
-    val st = new SummaryState(g)
-    val engine = new MergeEngine(st)
-    var compared = 0
-    for (t <- 1 to bigT) {
-      val th = engine.theta(t, bigT)
-      CandidateGen.groups(st, seed + 7919L * t, maxSize = 12).zipWithIndex.foreach { case (group, i) =>
-        val rngSeed = seed * 31 + 1000L * t + i
-        val idBase = st.nSupers
-        val decisions = GroupState.run(SluggerSpark.buildTask(st, group, th, heightBound, rngSeed))
-        val merges = engine.processGroup(group, th, new Random(rngSeed), heightBound)
-        assert(decisions.length == merges, s"t=$t group $i: merge count")
-        decisions.zipWithIndex.foreach { case ((a, b), k) =>
-          assert(st.childrenOf(idBase + k) == Seq(a, b), s"t=$t group $i merge $k")
-        }
-        compared += merges
-      }
-    }
-    compared
+  def check(g: LocalGraph, cfg: Slugger.Config): Unit = {
+    val (compared, mismatches) = compareOnEveryGroup(g, cfg)
+    assert(mismatches.isEmpty, mismatches.mkString("; "))
+    assert(compared > 0)
   }
 
   for (seed <- 1 to 3) {
     test(s"task snapshots reproduce processGroup on random graphs (seed=$seed)") {
-      assert(compareOnEveryGroup(randomGraph(60, 180, seed), bigT = 6, seed) > 0)
+      check(randomGraph(60, 180, seed), Slugger.Config(T = 6, seed = seed, maxGroupSize = 12))
     }
     test(s"task snapshots reproduce processGroup on cliques plus noise (seed=$seed)") {
-      assert(compareOnEveryGroup(cliquesPlusNoise(8, 30, seed), bigT = 6, seed) > 0)
+      check(cliquesPlusNoise(8, 30, seed), Slugger.Config(T = 6, seed = seed, maxGroupSize = 12))
     }
   }
 
   test("task snapshots reproduce processGroup under a height bound") {
-    assert(compareOnEveryGroup(cliquesPlusNoise(8, 30, 4), bigT = 6, 4, heightBound = 2) > 0)
+    check(cliquesPlusNoise(8, 30, 4), Slugger.Config(T = 6, seed = 4, maxGroupSize = 12, heightBound = 2))
+  }
+}
+
+object GroupStateSpec {
+
+  /** Algorithm 1's merging phase with each candidate set run first on its
+    * task snapshot, then on the full state (which advances), both with the
+    * per-set seed `rngSeed·1000 + i`. Both allocate merged ids from
+    * `st.nSupers`, so the k-th decision must be the children of
+    * `idBase + k`. Returns the number of merges compared and a description
+    * of each set where the two differ.
+    */
+  def compareOnEveryGroup(g: LocalGraph, cfg: Slugger.Config): (Long, Seq[String]) = {
+    val st = new SummaryState(g)
+    val engine = new MergeEngine(st)
+    val mismatches = Seq.newBuilder[String]
+    val compared = MergeEngine.mergePhase(g, st.find, cfg.T, cfg.seed, cfg.maxGroupSize) {
+      (sets, th, rngSeed) =>
+        sets.zipWithIndex.foldLeft(0L) { case (merges, (set, i)) =>
+          val seed = rngSeed * 1000 + i
+          val idBase = st.nSupers
+          val decisions = GroupState.run(GroupTask.of(st, set, th, cfg.heightBound, seed))
+          val local = engine.processGroup(set, th, new Random(seed), cfg.heightBound)
+          val same = decisions.length == local && decisions.zipWithIndex.forall {
+            case ((a, b), k) => st.childrenOf(idBase + k) == Seq(a, b)
+          }
+          if (!same) mismatches += s"set $i at θ=$th: executor $decisions, local $local merges"
+          merges + local
+        }
+    }
+    (compared, mismatches.result())
   }
 }

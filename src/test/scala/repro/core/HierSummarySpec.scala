@@ -61,6 +61,20 @@ class HierSummarySpec extends SparkSpec {
     assert(p == 2.0 / 8 && n == 1.0 / 8 && h == 5.0 / 8)
   }
 
+  test("heights of a 10,000-level caterpillar hierarchy need no deep recursion") {
+    // spine supernodes nSub + i, i < k: each holds leaf i and the next spine
+    // node; the last one holds leaves k-1 and k. Depths run 0..k.
+    val k = 9999
+    val nSub = k + 1
+    val parent = Array.tabulate(nSub + k) { x =>
+      if (x < k) nSub + x else if (x == k) nSub + k - 1 else if (x == nSub) -1 else x - 1
+    }
+    val s = HierSummary(nSub, parent, Array.fill(parent.length)(true), Nil, Nil)
+    assert(s.roots == Seq(nSub))
+    assert(s.maxHeight == 9999)
+    assert(s.heightOf(nSub + k - 1) == 1 && s.heightOf(0) == 0)
+  }
+
   test("identity summary reproduces the input graph at cost |E|") {
     val g = LocalGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (2L, 3L), (0L, 3L)))
     val id = HierSummary.identity(g.n, g.edges)

@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.local.{CandidateGen, Slugger}
 import repro.core.model.HierSummary
-import repro.core.spark.{CandidateGenSpark, GroupState, SluggerSpark}
+import repro.core.spark.{CandidateGenSpark, GroupState, GroupTask, SluggerSpark}
 import repro.graph.{GraphGen, LocalGraph}
 
 /** Distributed SLUGGER: the driver's candidate sets become one RDD job of
@@ -106,7 +106,7 @@ class SluggerSparkSpec extends SparkSpec {
         val at = s"$name, cap $cap, t=$t"
         val seed = cfg.seed + 7919L * t
         assert(sets == CandidateGen.groups(st, seed, cap), at)
-        val tasks = sets.map(SluggerSpark.buildTask(st, _, th, cfg.heightBound, rngSeed))
+        val tasks = sets.map(GroupTask.of(st, _, th, cfg.heightBound, rngSeed))
         assert(tasks.map(_.roots.map(_.id)) == sets.map(_.filter(st.isRoot)), at)
         assert(tasks.forall(k => k.theta == th && k.rngSeed == rngSeed &&
           k.idBase == st.nSupers && k.heightBound == cfg.heightBound), at)
