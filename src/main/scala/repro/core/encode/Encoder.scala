@@ -16,64 +16,47 @@ final case class Enc(x: Int, y: Int, sign: Int)
   * p-minus-n count is uniform over every block pair, so a rewrite is valid
   * iff it reproduces the old net on every block pair (and the old self-loop
   * sum inside every non-singleton block). The search therefore minimizes the
-  * number of signed edges hitting an integer target vector.
+  * number of signed edges hitting a target vector.
   *
-  * Results are memoized on (panel shape, targets): the table is independent
-  * of the input graph, exactly as the paper observes, and is shared across
-  * graphs and runs.
+  * Panels are binary (a merge makes a node of two children, so every panel
+  * root has 0 or 2) and every target is 0 or 1 (an exact summary of a simple
+  * graph nets every leaf pair to 0 or 1); [[solve]] requires both. Then one
+  * edge at each target-1 constraint's own slot is a cover, so an
+  * iterative-deepening search always stops, at the minimum. The memo maps
+  * (panel shape, targets) to that search's first cover: like the paper's
+  * table it depends on neither the input graph nor the order in which keys
+  * are first asked, and it is shared across graphs, runs and executor
+  * threads.
   */
 object MinCover {
 
-  /** One rewrite option: which slots to use with which sign. */
-  final case class Solution(cost: Int, picks: List[(Int, Int)])
-
-  private final case class Key(shape: Int, targets: List[Int])
-
-  private val memo = new java.util.concurrent.ConcurrentHashMap[Key, Solution]()
+  /** (shape code << 32 | target bitmask) -> the picks of its first minimum cover. */
+  private val memo = new java.util.concurrent.ConcurrentHashMap[Long, List[(Int, Int)]]()
 
   /** Number of distinct memoized cases so far (for the memoization bench). */
   def memoSize: Int = memo.size
 
-  /** Search depth cap beyond which we fall back to reproducing the old
-    * encoding verbatim (still valid, never worse than keep-old).
-    */
-  private val MaxDepth = 5
-
-  /** Per-key budget of DFS nodes; pathological keys fall back to keep-old.
-    * Keeps the one-time memoization fill bounded (the paper reports < 2 s).
-    */
-  private val NodeBudget = 200000
-
-  /** Solve min-cost signed cover. A memo hit never costs more than the
-    * caller's own `reproduce`: a search capped by `MaxDepth` or the node
-    * budget memoizes its first caller's encoding, which a later caller with
-    * the same key may beat.
+  /** A minimum set of (slot, sign) picks that nets exactly to `targets`: the
+    * caller's `reproduce` when it is as small as the key's memoized cover,
+    * that cover otherwise.
     *
-    * @param shape     the [[PanelShape]] code; it fixes `covers`, so the
-    *                  memo key (shape, targets) fixes the whole problem
-    * @param covers    per slot, bitmask over constraint indices it covers
-    * @param targets   required net per constraint
-    * @param reproduce a known-feasible assignment (slotIdx, sign) reproducing
-    *                  `targets` — the old encoding mapped onto slots
+    * @param reproduce the old encoding mapped onto slots, which nets to
+    *                  `targets`
     */
-  def solve(shape: Int, covers: Array[Long], targets: Array[Int],
-            reproduce: List[(Int, Int)]): Solution = {
-    val key = Key(shape, targets.toList)
-    val hit = memo.get(key)
-    if (hit == null) {
-      val sol = search(covers, targets, reproduce)
-      memo.put(key, sol)
-      sol
-    } else if (hit.cost > reproduce.size) Solution(reproduce.size, reproduce)
-    else hit
+  def solve(shape: PanelShape, targets: Array[Int], reproduce: List[(Int, Int)]): List[(Int, Int)] = {
+    require(shape.binary && targets.length == shape.nCons && targets.forall(t => t == 0 || t == 1),
+      s"MinCover needs a binary panel shape and 0/1 targets: shape ${shape.code}, " +
+        s"targets ${targets.mkString("[", ",", "]")}")
+    var mask = 0L
+    var c = 0
+    while (c < targets.length) { mask |= targets(c).toLong << c; c += 1 }
+    val cover = memo.computeIfAbsent(shape.code.toLong << 32 | mask, _ => search(shape.slotCovers, targets))
+    if (reproduce.size <= cover.size) reproduce else cover
   }
 
-  private def search(covers: Array[Long], targets: Array[Int],
-                     reproduce: List[(Int, Int)]): Solution = {
+  private def search(covers: Array[Long], targets: Array[Int]): List[(Int, Int)] = {
     val nCons = targets.length
-    val ub = reproduce.size
-    if (targets.forall(_ == 0)) return Solution(0, Nil)
-    val maxCov = if (covers.isEmpty) 1 else covers.map(java.lang.Long.bitCount).max.max(1)
+    val maxCov = covers.map(java.lang.Long.bitCount).max
     // Slots covering each constraint, widest coverage first (coarse-first
     // tie-break: prefer edges high in the hierarchy, which keeps future
     // panels rewritable — the paper's "choose considering the next step").
@@ -85,7 +68,6 @@ object MinCover {
     val used = new Array[Boolean](covers.length)
     val picks = mutable.ListBuffer.empty[(Int, Int)]
     var best: List[(Int, Int)] = null
-    var budget = NodeBudget
 
     def lowerBound: Int = {
       var maxAbs = 0; var sum = 0
@@ -98,8 +80,7 @@ object MinCover {
       var c = 0
       while (c < nCons && res(c) == 0) c += 1
       if (c == nCons) { best = picks.toList; return true }
-      budget -= 1
-      if (budget <= 0 || depth >= limit || depth + lowerBound > limit) return false
+      if (depth + lowerBound > limit) return false
       val slots = byCons(c)
       val prefer = if (res(c) > 0) 1 else -1
       var i = 0
@@ -125,12 +106,8 @@ object MinCover {
     }
 
     var limit = lowerBound
-    val cap = math.min(ub, MaxDepth + 1) // depth `ub` would just re-find reproduce
-    while (limit < cap && budget > 0) {
-      if (dfs(0, limit)) return Solution(best.size, best)
-      limit += 1
-    }
-    Solution(ub, reproduce)
+    while (!dfs(0, limit)) limit += 1
+    best
   }
 }
 
@@ -152,6 +129,8 @@ final class PanelShape private (val code: Int) {
   private val nB = code >> 4 & 0xF
   val crossOnly: Boolean = code >> 20 == 2
   private val nC = if (crossOnly) code & 0xF else 0
+  /** Every panel root has 0 or 2 children, as every merge leaves them. */
+  val binary: Boolean = Seq(nA, nB, nC).forall(n => n == 0 || n == 2)
   private val cSym = 3 + nA + nB
   val nSym: Int = if (crossOnly) cSym + 1 + nC else cSym
 

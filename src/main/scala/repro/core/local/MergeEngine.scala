@@ -60,7 +60,7 @@ final class MergeEngine(val st: MergeSubstrate) {
       }
       s += 1
     }
-    Rewrite(panel, deep, MinCover.solve(shape.code, shape.slotCovers, targets, reproduce.toList).picks)
+    Rewrite(panel, deep, MinCover.solve(shape, targets, reproduce.toList))
   }
 
   /** The encoding update of merging roots a and b, read from the state

@@ -85,8 +85,11 @@ final case class HierSummary(
 
   // ----------------------------------------------------------------- decode
 
-  /** Net p-minus-n count per subnode pair; a pair is an edge iff net >= 1. */
-  def decompress: Set[(Int, Int)] = {
+  /** Net p-minus-n count of every subnode pair that some p/n-edge covers, as
+    * ((u, v), net) with u < v. A pair is an edge iff net >= 1; in an exact
+    * summary of a simple graph every net is 0 or 1.
+    */
+  def pairNets: Iterator[((Int, Int), Int)] = {
     val net = mutable.HashMap.empty[Long, Int]
     def key(u: Int, v: Int): Long = if (u < v) u.toLong * nSub + v else v.toLong * nSub + u
     def bump(es: Seq[(Int, Int)], sign: Int): Unit = es.foreach { case (x, y) =>
@@ -106,10 +109,11 @@ final case class HierSummary(
       }
     }
     bump(pPlus, +1); bump(pMinus, -1)
-    net.iterator.collect { case (k, c) if c >= 1 =>
-      ((k / nSub).toInt, (k % nSub).toInt)
-    }.toSet
+    net.iterator.map { case (k, c) => (((k / nSub).toInt, (k % nSub).toInt), c) }
   }
+
+  /** The subnode pairs with net >= 1: the decoded graph's edges. */
+  def decompress: Set[(Int, Int)] = pairNets.collect { case (uv, c) if c >= 1 => uv }.toSet
 
   /** Partial decompression (Algorithm 4): neighbors of one subnode without
     * materializing the rest of the graph. Walks v's root path, applies every

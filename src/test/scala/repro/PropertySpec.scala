@@ -13,7 +13,8 @@ import scala.util.Random
 
 /** Randomized checks on generated graphs and parameters: the executor
   * snapshot reproduces local Algorithm 2, SLUGGER stays lossless through
-  * every pruning substep, and the four baselines are lossless.
+  * every pruning substep, the four baselines are lossless, and every leaf
+  * pair of all those summaries nets to 0 or 1.
   *
   * Raw pairs carry duplicates (both orientations) and self-loops and go
   * through `LocalGraph.fromEdges`, so empty graphs (all pairs dropped) are
@@ -36,35 +37,26 @@ class PropertySpec extends AnyFunSuite {
 
   test("SLUGGER is lossless after the merge phase and after each pruning substep") {
     check(Prop.forAllNoShrink(cases) { case (in, cfg) =>
-      val g = in.graph
-      val st = new SummaryState(g)
-      val engine = new MergeEngine(st)
-      MergeEngine.mergePhase(g, st.find, cfg.T, cfg.seed, cfg.maxGroupSize) { (sets, th, rngSeed) =>
-        val rng = new Random(rngSeed)
-        sets.foldLeft(0L)((merges, d) => merges + engine.processGroup(d, th, rng, cfg.heightBound))
+      val bad = sluggerStages(in.graph, cfg).flatMap { case (stage, s) =>
+        lossFound(in.graph, s).map(l => s"$stage: $l")
       }
-      val ps = Pruner.fromState(st)
-      val losses = Seq.newBuilder[String]
-      def checkAt(stage: String): Unit = lossFound(g, ps.toSummary).foreach(l => losses += s"$stage: $l")
-      checkAt("merge phase")
-      Pruner.step1(ps); checkAt("step 1")
-      Pruner.step2(ps); checkAt("step 2")
-      Pruner.step3(ps, g); checkAt("step 3")
-      val bad = losses.result()
       Prop(bad.isEmpty) :| s"${in.name}, $cfg: ${bad.mkString("; ")}"
     })
   }
 
   test("SWEG, RANDOMIZED, SAGS and MoSSo-lite are lossless") {
     check(Prop.forAllNoShrink(cases) { case (in, cfg) =>
-      val g = in.graph
-      val outputs = Seq(
-        "SWEG" -> Sweg.summarize(g, cfg.T, cfg.seed),
-        "RANDOMIZED" -> Randomized.summarize(g, cfg.seed),
-        "SAGS" -> Sags.summarize(g, cfg.seed),
-        "MoSSo-lite" -> MossoLite.summarize(g, cfg.seed))
-      val lossy = outputs.collect { case (name, s) if s.decompress != g.edgeSet => name }
+      val lossy = baselines(in.graph, cfg).collect { case (name, s) if s.decompress != in.graph.edgeSet => name }
       Prop(lossy.isEmpty) :| s"${in.name}, seed ${cfg.seed}: ${lossy.mkString(", ")} lossy"
+    })
+  }
+
+  test("every leaf pair nets to 0 or 1: SLUGGER at each stage and the four baselines") {
+    check(Prop.forAllNoShrink(cases) { case (in, cfg) =>
+      val bad = (sluggerStages(in.graph, cfg) ++ baselines(in.graph, cfg)).flatMap { case (name, s) =>
+        s.pairNets.find { case (_, net) => net != 0 && net != 1 }.map { case (uv, net) => s"$name: $uv nets $net" }
+      }
+      Prop(bad.isEmpty) :| s"${in.name}, $cfg: ${bad.mkString("; ")}"
     })
   }
 }
@@ -128,6 +120,29 @@ object PropertySpec {
   } yield Slugger.Config(T = bigT, seed = seed, maxGroupSize = cap, heightBound = hb)
 
   val cases: Gen[(Input, Slugger.Config)] = Gen.zip(inputs, configs)
+
+  /** SLUGGER's summary after the merge phase and after each pruning substep. */
+  def sluggerStages(g: LocalGraph, cfg: Slugger.Config): Seq[(String, HierSummary)] = {
+    val st = new SummaryState(g)
+    val engine = new MergeEngine(st)
+    MergeEngine.mergePhase(g, st.find, cfg.T, cfg.seed, cfg.maxGroupSize) { (sets, th, rngSeed) =>
+      val rng = new Random(rngSeed)
+      sets.foldLeft(0L)((merges, d) => merges + engine.processGroup(d, th, rng, cfg.heightBound))
+    }
+    val ps = Pruner.fromState(st)
+    val merged = ps.toSummary
+    Pruner.step1(ps); val step1 = ps.toSummary
+    Pruner.step2(ps); val step2 = ps.toSummary
+    Pruner.step3(ps, g)
+    Seq("merge phase" -> merged, "step 1" -> step1, "step 2" -> step2, "step 3" -> ps.toSummary)
+  }
+
+  /** The four baselines' summaries of `g` at `cfg`'s seed (and T for SWEG). */
+  def baselines(g: LocalGraph, cfg: Slugger.Config): Seq[(String, HierSummary)] = Seq(
+    "SWEG" -> Sweg.summarize(g, cfg.T, cfg.seed),
+    "RANDOMIZED" -> Randomized.summarize(g, cfg.seed),
+    "SAGS" -> Sags.summarize(g, cfg.seed),
+    "MoSSo-lite" -> MossoLite.summarize(g, cfg.seed))
 
   /** How `s`'s decoded edges or a neighbor query differ from `g`, if they do. */
   def lossFound(g: LocalGraph, s: HierSummary): Option[String] = {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.encode.{MinCover, Panel}
+import repro.core.encode.{MinCover, Panel, PanelShape}
 
 /** Unit tests of the panel construction and the memoized min-cover search. */
 class EncoderSpec extends AnyFunSuite {
@@ -66,54 +66,153 @@ class EncoderSpec extends AnyFunSuite {
 
   // ---- MinCover search ------------------------------------------------------
 
-  /** Tiny synthetic instance: 3 constraints, slots = singles and one triple. */
-  val covers: Array[Long] = Array(1L, 2L, 4L, 7L)
+  /** The (slot, sign) picks of signed edges between panel symbols. */
+  def picksOf(shape: PanelShape, edges: (Int, Int, Int)*): List[(Int, Int)] =
+    edges.map { case (sx, sy, sign) =>
+      val s = shape.slotOf(sx, sy)
+      assert(s >= 0, s"($sx, $sy) is not a slot of shape ${shape.code}")
+      (s, sign)
+    }.toList
+
+  /** The net each constraint of `shape` gets from `picks`. */
+  def netOf(shape: PanelShape, picks: List[(Int, Int)]): Array[Int] =
+    Array.tabulate(shape.nCons) { c =>
+      picks.collect { case (s, sign) if (shape.slotCovers(s) >> c & 1L) == 1L => sign }.sum
+    }
+
+  /** Case 1 (A with children 3 and 4, leaf B = 2, singleton blocks):
+    * constraints (a1,a2), (a1,B), (a2,B).
+    */
+  val aPair: PanelShape = Panel.internal(Seq(1, 2), Nil, 20, 21, _ => true).shape
+
+  /** Case 2 (A with children 3 and 4, leaf B = 2; C = 5 with children 6 and 7). */
+  val crossPair: PanelShape = Panel.cross(Seq(1, 2), Nil, 20, 21, 30, Seq(5, 6)).shape
 
   test("solve picks the covering slot when all targets are 1") {
-    val s = MinCover.solve(9001, covers, Array(1, 1, 1),
-      List((0, 1), (1, 1), (2, 1)))
-    assert(s.cost == 1)
-    assert(s.picks == List((3, 1)))
+    // leaves A, B against C's children: the edge (M, C) covers all four pairs
+    val shape = Panel.cross(Nil, Nil, 20, 21, 30, Seq(5, 6)).shape
+    val reproduce = picksOf(shape, (1, 4, 1), (1, 5, 1), (2, 4, 1), (2, 5, 1))
+    val s = MinCover.solve(shape, netOf(shape, reproduce), reproduce)
+    assert(s == picksOf(shape, (0, 3, 1)))
   }
 
   test("solve uses signed compensation when profitable") {
-    // targets (1,1,0): either slots {0,1} or {3, 2 with sign -1}; both cost 2
-    val s = MinCover.solve(9002, covers, Array(1, 1, 0), List((0, 1), (1, 1)))
-    assert(s.cost == 2)
+    // A and B each with two leaf children, every pair linked but (a1, b1):
+    // the loop at M plus an n-edge at (a1, b1) beats five p-edges
+    val shape = Panel.internal(Seq(1, 2), Seq(3, 4), 20, 21, _ => true).shape
+    val reproduce = picksOf(shape, (3, 4, 1), (5, 6, 1), (3, 6, 1), (4, 5, 1), (4, 6, 1))
+    val s = MinCover.solve(shape, netOf(shape, reproduce), reproduce)
+    assert(s.toSet == picksOf(shape, (0, 0, 1), (3, 5, -1)).toSet)
   }
 
   test("solve returns zero-cost solution for zero targets") {
-    val s = MinCover.solve(9003, covers, Array(0, 0, 0), List((0, 1), (0, -1)))
-    assert(s.cost == 0)
-  }
-
-  test("solve falls back to reproduce when targets are unreachable in cap") {
-    // a target of 3 on one constraint with only 2 covering slots
-    val s = MinCover.solve(9004, Array(1L, 1L), Array(3), List((0, 1), (1, 1), (0, 1)))
-    assert(s.cost == 3)
-    assert(s.picks.size == 3)
+    // (A, C) and n-edges at both of A's children cancel out
+    val shape = Panel.cross(Seq(1, 2), Nil, 20, 21, 30, Nil).shape
+    val reproduce = picksOf(shape, (1, 5, 1), (3, 5, -1), (4, 5, -1))
+    assert(netOf(shape, reproduce).forall(_ == 0))
+    assert(MinCover.solve(shape, netOf(shape, reproduce), reproduce).isEmpty)
   }
 
   test("memoization returns identical solutions for identical keys") {
+    val reproduce = picksOf(aPair, (3, 4, 1), (2, 3, 1), (2, 4, 1))
     val before = MinCover.memoSize
-    val a = MinCover.solve(9005, covers, Array(1, 0, 1), List((0, 1), (2, 1)))
+    val a = MinCover.solve(aPair, netOf(aPair, reproduce), reproduce)
     val mid = MinCover.memoSize
-    val b = MinCover.solve(9005, covers, Array(1, 0, 1), List((0, 1), (2, 1)))
-    assert(a == b)
-    assert(MinCover.memoSize == mid && mid == before + 1)
+    val b = MinCover.solve(aPair, netOf(aPair, reproduce), reproduce)
+    assert(a == b && a == picksOf(aPair, (0, 0, 1)))
+    // the key is new unless an earlier suite in this JVM asked for it
+    assert(mid - before <= 1 && MinCover.memoSize == mid)
   }
 
   test("memo hit never returns more edges than the caller's own encoding") {
-    // 7 constraints, one slot each, plus two extra slots on constraint 0:
-    // the optimum (7 edges) exceeds MaxDepth, so the search falls back to
-    // its first caller's 9-edge encoding and memoizes it
-    val covers = Array.tabulate(7)(c => 1L << c) ++ Array(1L, 1L)
-    val targets = Array.fill(7)(1)
-    val seven = (0 until 7).map(s => (s, 1)).toList
-    val nine = (7, 1) :: (8, -1) :: seven
-    assert(MinCover.solve(9006, covers, targets, nine).cost == 9)
-    val s = MinCover.solve(9006, covers, targets, seven)
-    assert(s.cost == 7 && s.picks == seven)
+    // targets (a1,a2) = 1, (a1,B) = 1, (a2,B) = 0: a caller with three edges
+    // gets the key's first minimum cover, the loop at M plus an n-edge at
+    // (a2, B); a later caller's own two edges are just as small, so it
+    // keeps them
+    val three = picksOf(aPair, (1, 2, 1), (2, 4, -1), (3, 4, 1))
+    val two = picksOf(aPair, (3, 4, 1), (2, 3, 1))
+    val targets = netOf(aPair, three)
+    assert(targets.sameElements(netOf(aPair, two)))
+    assert(MinCover.solve(aPair, targets, three) == picksOf(aPair, (0, 0, 1), (2, 4, -1)))
+    assert(MinCover.solve(aPair, targets, two) == two)
+  }
+
+  test("callers with different optimal encodings of one key each keep their own, in either order") {
+    // a1-c1, a1-c2 and a2-c1 linked: (A, c1) + (a1, c2) or (a1, C) + (a2, c1)
+    val x = picksOf(crossPair, (1, 6, 1), (3, 7, 1))
+    val y = picksOf(crossPair, (3, 5, 1), (4, 6, 1))
+    val targets = netOf(crossPair, x)
+    assert(targets.sameElements(netOf(crossPair, y)))
+    for ((first, second) <- Seq((x, y), (y, x))) {
+      assert(MinCover.solve(crossPair, targets, first) == first)
+      assert(MinCover.solve(crossPair, targets, second) == second)
+    }
+  }
+
+  /** The 44 binary shape codes: Case 1 with nA, nB in {0, 2} and every
+    * singleton mask over its blocks (36), Case 2 with nA, nB, nC in {0, 2} (8).
+    */
+  val binaryCodes: Seq[Int] =
+    (for {
+      nA <- Seq(0, 2); nB <- Seq(0, 2)
+      mask <- 0 until 1 << (nA.max(1) + nB.max(1))
+    } yield 1 << 20 | nA << 8 | nB << 4 | mask) ++
+      (for (nA <- Seq(0, 2); nB <- Seq(0, 2); nC <- Seq(0, 2)) yield 2 << 20 | nA << 8 | nB << 4 | nC)
+
+  /** Fewest signed edges, distinct slots, netting to each 0/1 target mask
+    * that at most `k` edges reach: every subset of at most `k` slots, each
+    * with either sign.
+    */
+  def fewestEdges(shape: PanelShape, k: Int): Map[Long, Int] = {
+    val best = scala.collection.mutable.HashMap.empty[Long, Int]
+    val net = new Array[Int](shape.nCons)
+    def go(from: Int, used: Int): Unit = {
+      if (net.forall(t => t == 0 || t == 1)) {
+        val mask = net.indices.foldLeft(0L)((m, c) => m | net(c).toLong << c)
+        if (best.getOrElse(mask, Int.MaxValue) > used) best(mask) = used
+      }
+      if (used < k) for (s <- from until shape.slots.length; sign <- Seq(1, -1)) {
+        def add(d: Int): Unit = net.indices.foreach(c => if ((shape.slotCovers(s) >> c & 1L) == 1L) net(c) += d)
+        add(sign); go(s + 1, used + 1); add(-sign)
+      }
+    }
+    go(0, 0)
+    best.toMap
+  }
+
+  test("every 0/1 target of every binary shape: a minimum cover of at most 5 edges") {
+    assert(binaryCodes.length == 44 && binaryCodes.distinct.length == 44)
+    for (code <- binaryCodes) {
+      val shape = PanelShape(code)
+      assert(shape.binary)
+      val fewest = fewestEdges(shape, 4)
+      // each constraint's own slot: a block pair's, or a block's loop
+      val ownSlot = (shape.crossPairs.map { case (i, j) => shape.slotOf(shape.blocks(i), shape.blocks(j)) } ++
+        shape.sumBlocks.map(b => shape.slotOf(shape.blocks(b), shape.blocks(b))))
+      for (mask <- 0L until 1L << shape.nCons) {
+        val targets = Array.tabulate(shape.nCons)(c => (mask >> c & 1L).toInt)
+        val own = targets.indices.collect { case c if targets(c) == 1 => (ownSlot(c), 1) }.toList
+        assert(netOf(shape, own).sameElements(targets), s"shape $code, targets $mask: own slots")
+        val got = MinCover.solve(shape, targets, own)
+        val at = s"shape $code, targets ${targets.mkString}: $got"
+        assert(netOf(shape, got).sameElements(targets), at)
+        assert(got.map(_._1).distinct.length == got.length, at)
+        assert(got.length == fewest.getOrElse(mask, 5), at)
+        assert((got == own) == (own.length == got.length), at)
+      }
+    }
+  }
+
+  test("solve rejects a non-binary shape and targets outside {0, 1}, naming the shape") {
+    val three = Panel.internal(Seq(1, 2, 3), Nil, 20, 21, _ => true).shape
+    assert(!three.binary)
+    val e = intercept[IllegalArgumentException](MinCover.solve(three, new Array[Int](three.nCons), Nil))
+    assert(e.getMessage.contains(s"shape ${three.code}"))
+    for (bad <- Seq(-1, 2)) {
+      val targets = Array(bad, 0, 0)
+      val e = intercept[IllegalArgumentException](MinCover.solve(aPair, targets, Nil))
+      assert(e.getMessage.contains(s"shape ${aPair.code}") && e.getMessage.contains(s"[$bad,0,0]"))
+    }
   }
 
   test("memoized table is independent of concrete super ids (shape-keyed)") {
@@ -132,9 +231,9 @@ class EncoderSpec extends AnyFunSuite {
       val (i, j) = p.shape.crossPairs(k)
       (p.shape.slotOf(p.shape.blocks(i), p.shape.blocks(j)), 1)
     }.toList
-    val s = MinCover.solve(p.shape.code, p.shape.slotCovers, targets, reproduce)
-    assert(s.cost == 1, s"expected single loop at M, got ${s.picks}")
-    assert(p.shape.slots(s.picks.head._1) == ((0, 0)))
+    val s = MinCover.solve(p.shape, targets, reproduce)
+    assert(s.size == 1, s"expected single loop at M, got $s")
+    assert(p.shape.slots(s.head._1) == ((0, 0)))
   }
 
   test("clique-with-nonsingleton-blocks: loop at M satisfies the sum constraints") {
@@ -153,8 +252,8 @@ class EncoderSpec extends AnyFunSuite {
           (p.shape.slotOf(p.shape.blocks(i), p.shape.blocks(j)), 1)
       }.toList ++
       p.shape.sumBlocks.map(b => (p.shape.slotOf(p.shape.blocks(b), p.shape.blocks(b)), 1)).toList
-    val s = MinCover.solve(p.shape.code, p.shape.slotCovers, targets, reproduce)
-    assert(s.cost == 1, s"picks=${s.picks}")
+    val s = MinCover.solve(p.shape, targets, reproduce)
+    assert(s.size == 1, s"picks=$s")
   }
 
   test("star-at-root pattern: one cross target solved by one edge") {
@@ -165,17 +264,15 @@ class EncoderSpec extends AnyFunSuite {
       val (i, j) = p.shape.crossPairs(k)
       (p.shape.slotOf(p.shape.blocks(i), p.shape.blocks(j)), 1)
     }.toList
-    val s = MinCover.solve(p.shape.code, p.shape.slotCovers, targets, reproduce)
-    assert(s.cost == 1)
+    assert(MinCover.solve(p.shape, targets, reproduce).size == 1)
   }
 
   test("mixed cross pattern: p at parent plus n at child (Fig. 2 shape)") {
-    // left blocks b0,b1 under A; b0 connected to C, b1 not; best is either
-    // two block edges or (A,C) + n(b1,C): cost 2 both ways — never 3
+    // left blocks b0,b1 under A; b0 connected to C, b1 not: the one edge
+    // (b0, C) beats (A, C) + n(b1, C)
     val p = Panel.cross(Seq(1, 2), Nil, 20, 21, 30, Nil)
     val targets = p.shape.crossPairs.map { case (i, _) => if (i == 0) 1 else 0 }
-    val reproduce = List((p.shape.slotOf(p.shape.blocks(0), p.symOf(30) match { case s => s }), 1))
-    val s = MinCover.solve(p.shape.code, p.shape.slotCovers, targets, reproduce)
-    assert(s.cost == 1)
+    val reproduce = List((p.shape.slotOf(p.shape.blocks(0), p.symOf(30)), 1))
+    assert(MinCover.solve(p.shape, targets, reproduce) == reproduce)
   }
 }

@@ -79,16 +79,23 @@ class SluggerSparkSpec extends SparkSpec {
 
   test("distributed SLUGGER is deterministic for fixed edges and Config") {
     // tasks come in CandidateGen's order and collect keeps it, so replay
-    // order does not depend on how the RDD is sliced
-    val edges = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
+    // order does not depend on how the RDD is sliced; on the ragged input
+    // (about a tenth of the clique edges dropped) the executor threads share
+    // MinCover's memo, whose answers do not depend on which thread asked first
+    val cliques = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
+    val ragged = cliques.where(pmod(xxhash64(col("src"), col("dst")), lit(10)) =!= 0)
+    val dropped = 1.0 - ragged.count().toDouble / cliques.count()
+    assert(dropped > 0.05 && dropped < 0.15, s"dropped $dropped of the edges")
     val cfg = Slugger.Config(T = 6, maxGroupSize = 16)
-    val r1 = SluggerSpark.summarize(spark, edges, cfg)
-    val r2 = SluggerSpark.summarize(spark, edges, cfg)
-    assert(r1.summary.pPlus == r2.summary.pPlus)
-    assert(r1.summary.pMinus == r2.summary.pMinus)
-    assert(r1.summary.parent.toSeq == r2.summary.parent.toSeq)
-    assert(r1.summary.alive.toSeq == r2.summary.alive.toSeq)
-    assert(r1.totalMerges == r2.totalMerges)
+    for ((name, edges) <- Seq("clique union" -> cliques, "ragged clique union" -> ragged)) {
+      val r1 = SluggerSpark.summarize(spark, edges, cfg)
+      val r2 = SluggerSpark.summarize(spark, edges, cfg)
+      assert(r1.summary.pPlus == r2.summary.pPlus, name)
+      assert(r1.summary.pMinus == r2.summary.pMinus, name)
+      assert(r1.summary.parent.toSeq == r2.summary.parent.toSeq, name)
+      assert(r1.summary.alive.toSeq == r2.summary.alive.toSeq, name)
+      assert(r1.totalMerges == r2.totalMerges, name)
+    }
   }
 
   test("each iteration's tasks are CandidateGen's sets in order, on live roots") {
