@@ -42,16 +42,12 @@ final case class HierSummary(
     ch
   }
 
-  /** Subnodes contained in supernode x (leaf ids of its subtree). */
+  /** Subnodes contained in supernode x (leaf ids of its subtree), in
+    * hierarchy DFS order; empty for a dead supernode.
+    */
   def leavesOf(x: Int): Array[Int] = {
-    val out = mutable.ArrayBuffer.empty[Int]
-    val stack = mutable.ArrayDeque(x)
-    while (stack.nonEmpty) {
-      val y = stack.removeLast()
-      if (y < nSub) out += y
-      children(y).foreach(stack.append)
-    }
-    out.toArray
+    val ix = readIndex
+    java.util.Arrays.copyOfRange(ix.order, ix.lo(x), ix.hi(x))
   }
 
   def roots: Seq[Int] = (0 until nSupers).filter(x => alive(x) && parent(x) < 0)
@@ -115,28 +111,80 @@ final case class HierSummary(
   /** The subnode pairs with net >= 1: the decoded graph's edges. */
   def decompress: Set[(Int, Int)] = pairNets.collect { case (uv, c) if c >= 1 => uv }.toSet
 
-  /** Partial decompression (Algorithm 4): neighbors of one subnode without
-    * materializing the rest of the graph. Walks v's root path, applies every
-    * incident p/n edge, and keeps subnodes with positive net count.
+  /** Partial decompression (Algorithm 4): the neighbors of subnode v,
+    * without materializing the rest of the graph, in ascending order (a
+    * fresh array the caller owns).
+    *
+    * Walks v's root path and turns every incident p/n-edge into a +-sign
+    * pair of events at the ends of its far endpoint's leaf interval (a loop
+    * at x: x's own interval). One sort and one sweep over those events give
+    * every leaf whose running net is >= 1, v itself excepted.
     */
-  def neighbors(v: Int): Set[Int] = {
-    // Index edges by endpoint once per summary (lazy, reused across calls).
-    val inc = incidentIndex
-    val count = mutable.HashMap.empty[Int, Int]
+  def neighborArray(v: Int): Array[Int] = {
+    require(0 <= v && v < nSub, s"neighbors($v): not a subnode, ids run from 0 until nSub = $nSub")
+    val ix = readIndex
+    import ix.{hi, lo, order}
+    var k = 0
     var x = v
+    while (x >= 0) { k += ix.start(x + 1) - ix.start(x); x = parent(x) }
+    // event = position << 1 | (1 for +1, 0 for -1)
+    val ev = new Array[Long](2 * k)
+    var e = 0
+    x = v
     while (x >= 0) {
-      // a loop's other endpoint is x itself
-      inc.getOrElse(x, Nil).foreach { case (other, sign, _) =>
-        leavesOf(other).foreach { u =>
-          if (u != v) count(u) = count.getOrElse(u, 0) + sign
-        }
+      var i = ix.start(x)
+      while (i < ix.start(x + 1)) {
+        val y = ix.other(i)
+        val up = if (ix.sign(i) > 0) 1L else 0L
+        ev(e) = lo(y).toLong << 1 | up
+        ev(e + 1) = hi(y).toLong << 1 | (1L - up)
+        e += 2
+        i += 1
       }
       x = parent(x)
     }
-    count.iterator.collect { case (u, c) if c >= 1 => u }.toSet
+    java.util.Arrays.sort(ev)
+    val at = lo(v)
+    // Leaves at positions [p, q) share one net; the first pass counts them,
+    // the second fills the exactly sized answer.
+    def sweep(out: Array[Int]): Int = {
+      var n = 0
+      var net = 0
+      var i = 0
+      while (i < e) {
+        val p = (ev(i) >>> 1).toInt
+        while (i < e && (ev(i) >>> 1).toInt == p) { net += ((ev(i) & 1L).toInt << 1) - 1; i += 1 }
+        if (net >= 1 && i < e) {
+          val q = (ev(i) >>> 1).toInt
+          if (out == null) n += q - p - (if (p <= at && at < q) 1 else 0)
+          else {
+            var j = p
+            while (j < q) { if (j != at) { out(n) = order(j); n += 1 }; j += 1 }
+          }
+        }
+      }
+      n
+    }
+    val out = new Array[Int](sweep(null))
+    sweep(out)
+    java.util.Arrays.sort(out)
+    out
   }
 
-  /** endpoint -> (other endpoint, sign, isLoop) for every p/n edge. */
+  /** [[neighborArray]] as an immutable set: ascending iteration, `contains`
+    * by binary search.
+    */
+  def neighbors(v: Int): Set[Int] = SortedIntSet.wrap(neighborArray(v))
+
+  /** The read index behind [[leavesOf]] and [[neighborArray]]; built on the
+    * first query, never by summarization.
+    */
+  private lazy val readIndex: ReadIndex = ReadIndex(this)
+
+  /** endpoint -> (other endpoint, sign, isLoop) for every p/n edge. Queries
+    * read [[readIndex]] instead; this map is kept for perfbench's leaf-visit
+    * count and index timing.
+    */
   lazy val incidentIndex: Map[Int, List[(Int, Int, Boolean)]] = {
     val b = mutable.HashMap.empty[Int, List[(Int, Int, Boolean)]]
     def add(x: Int, rec: (Int, Int, Boolean)): Unit = b(x) = rec :: b.getOrElse(x, Nil)
@@ -173,6 +221,63 @@ final case class HierSummary(
       .flatMap(x => leavesOf(x).map(u => (x, u)))
       .toDF("sup", "sub")
     SummaryFrames(pn, hier, leaves)
+  }
+}
+
+/** The read index of a summary.
+  *
+  * `order` lists the leaves in hierarchy DFS order, so the leaves of alive
+  * supernode x are `order[lo(x), hi(x))`; a dead supernode's interval is
+  * empty. `start`/`other`/`sign` is the CSR incidence of the p/n-edges by
+  * endpoint: the edges at x are (`other(i)`, `sign(i)`) for i in
+  * [start(x), start(x + 1)); a loop at x is stored once, with other end x.
+  */
+private[model] final class ReadIndex(
+    val order: Array[Int], val lo: Array[Int], val hi: Array[Int],
+    val start: Array[Int], val other: Array[Int], val sign: Array[Int])
+
+private[model] object ReadIndex {
+
+  def apply(s: HierSummary): ReadIndex = {
+    val n = s.nSupers
+    val order = new Array[Int](s.nSub)
+    val lo = new Array[Int](n)
+    val hi = new Array[Int](n)
+    // an explicit stack keeps deep hierarchies off the JVM call stack;
+    // ~x marks the end of x's subtree
+    val stack = new Array[Int](2 * n)
+    var top = 0
+    var pos = 0
+    s.roots.foreach { r =>
+      stack(top) = r; top += 1
+      while (top > 0) {
+        top -= 1
+        val x = stack(top)
+        if (x < 0) hi(~x) = pos
+        else {
+          lo(x) = pos
+          if (x < s.nSub) { order(pos) = x; pos += 1 }
+          stack(top) = ~x; top += 1
+          s.children(x).foreach { c => stack(top) = c; top += 1 }
+        }
+      }
+    }
+
+    // each p/n-edge end as (endpoint, other end, sign); a loop has one end
+    def eachEnd(f: (Int, Int, Int) => Unit): Unit = {
+      def side(es: Seq[(Int, Int)], sg: Int): Unit =
+        es.foreach { case (x, y) => f(x, y, sg); if (x != y) f(y, x, sg) }
+      side(s.pPlus, 1); side(s.pMinus, -1)
+    }
+    val start = new Array[Int](n + 1)
+    eachEnd((x, _, _) => start(x + 1) += 1)
+    var x = 0
+    while (x < n) { start(x + 1) += start(x); x += 1 }
+    val other = new Array[Int](start(n))
+    val sign = new Array[Int](start(n))
+    val next = start.clone()
+    eachEnd { (x, y, sg) => other(next(x)) = y; sign(next(x)) = sg; next(x) += 1 }
+    new ReadIndex(order, lo, hi, start, other, sign)
   }
 }
 

@@ -4,7 +4,8 @@ import scala.collection.mutable
 
 /** Graph algorithms running *directly on a hierarchical summary* via partial
   * decompression (paper §VIII-C, Algorithms 5 and 6): the input graph is only
-  * accessed through `HierSummary.neighbors`, never fully decompressed.
+  * accessed through `HierSummary.neighborArray` (the array behind
+  * `neighbors`, in ascending order), never fully decompressed.
   */
 object SummaryAlgos {
 
@@ -15,13 +16,13 @@ object SummaryAlgos {
     */
   def dfs(s: HierSummary, start: Int): Seq[Int] = {
     val visited = mutable.LinkedHashSet(start)
-    val stack = mutable.Stack(s.neighbors(start).toSeq.sorted.iterator)
+    val stack = mutable.Stack(s.neighborArray(start).iterator)
     while (stack.nonEmpty) {
       val it = stack.top
       if (!it.hasNext) stack.pop()
       else {
         val u = it.next()
-        if (visited.add(u)) stack.push(s.neighbors(u).toSeq.sorted.iterator)
+        if (visited.add(u)) stack.push(s.neighborArray(u).iterator)
       }
     }
     visited.toSeq
@@ -33,7 +34,7 @@ object SummaryAlgos {
     val q = mutable.ArrayDeque(start)
     while (q.nonEmpty) {
       val v = q.removeHead()
-      s.neighbors(v).foreach { u =>
+      s.neighborArray(v).foreach { u =>
         if (!dist.contains(u)) { dist(u) = dist(v) + 1; q.append(u) }
       }
     }
@@ -48,7 +49,7 @@ object SummaryAlgos {
   def pageRank(s: HierSummary): Array[Double] = {
     val n = s.nSub
     var r = Array.fill(n)(1.0 / n)
-    val nbrs = Array.tabulate(n)(v => s.neighbors(v).toArray)
+    val nbrs = Array.tabulate(n)(s.neighborArray)
     var it = 0
     while (it < iters) {
       val next = new Array[Double](n)
@@ -57,7 +58,8 @@ object SummaryAlgos {
         val ns = nbrs(u)
         if (ns.nonEmpty) {
           val share = r(u) / ns.length
-          ns.foreach(w => next(w) += share)
+          var i = 0
+          while (i < ns.length) { next(ns(i)) += share; i += 1 }
         }
         u += 1
       }
@@ -68,15 +70,29 @@ object SummaryAlgos {
     r
   }
 
-  /** Triangle count through neighbor retrieval only. */
+  /** Triangle count through neighbor retrieval only: each triangle
+    * v < u < w once, w found in u's sorted neighbors by binary search.
+    */
   def triangles(s: HierSummary): Long = {
+    val nbrs = Array.tabulate(s.nSub)(s.neighborArray)
     var t = 0L
-    (0 until s.nSub).foreach { v =>
-      val nv = s.neighbors(v).filter(_ > v)
-      nv.foreach { u =>
-        val nu = s.neighbors(u)
-        t += nv.count(w => w > u && nu.contains(w))
+    var v = 0
+    while (v < nbrs.length) {
+      val nv = nbrs(v)
+      var i = 0
+      while (i < nv.length) {
+        val u = nv(i)
+        if (u > v) {
+          val nu = nbrs(u)
+          var j = i + 1
+          while (j < nv.length) {
+            if (java.util.Arrays.binarySearch(nu, nv(j)) >= 0) t += 1
+            j += 1
+          }
+        }
+        i += 1
       }
+      v += 1
     }
     t
   }

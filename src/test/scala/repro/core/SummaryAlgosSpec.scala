@@ -70,10 +70,27 @@ class SummaryAlgosSpec extends AnyFunSuite {
     assert(SummaryAlgos.triangles(s) == 4L * 10) // C(5,3)=10 per clique
   }
 
+  test("BFS, DFS, PageRank and triangles on an isolated leaf and on the empty summary") {
+    // 0-1, 1-2 and leaf 3 with no edges, under one supernode 4 = {0, 1, 2, 3}
+    val s = HierSummary(4, Array(4, 4, 4, 4, -1), Array.fill(5)(true), Seq((0, 1), (1, 2)), Nil)
+    assert(SummaryAlgos.bfs(s, 3) == Map(3 -> 0) && SummaryAlgos.dfs(s, 3) == Seq(3))
+    assert(SummaryAlgos.bfs(s, 0) == Map(0 -> 0, 1 -> 1, 2 -> 2))
+    assert(SummaryAlgos.triangles(s) == 0)
+    val rank = SummaryAlgos.pageRank(s)
+    SummaryAlgos.pageRank(HierSummary.identity(4, Iterator((0, 1), (1, 2)))).zip(rank)
+      .foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
+    assert(math.abs(rank.sum - 1.0) < 1e-9 && rank(3) < rank(0))
+
+    val empty = HierSummary(0, Array.empty, Array.empty, Nil, Nil)
+    assert(SummaryAlgos.pageRank(empty).isEmpty && SummaryAlgos.triangles(empty) == 0)
+    intercept[IllegalArgumentException](SummaryAlgos.bfs(empty, 0))
+    intercept[IllegalArgumentException](SummaryAlgos.dfs(empty, 0))
+  }
+
   test("neighbor retrieval is fast (partial decompression, §VIII-B)") {
     val g = randomGraph(200, 600, 9)
     val s = summarize(g)
-    s.incidentIndex // warm the index
+    s.neighbors(0) // build the read index
     val t0 = System.nanoTime()
     (0 until g.n).foreach(s.neighbors)
     val perCall = (System.nanoTime() - t0) / g.n
