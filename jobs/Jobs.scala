@@ -3,8 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.bench.Datasets
 import repro.core.local.Slugger
-import repro.core.model.HierSummary
-import repro.core.spark.SluggerSpark
+import repro.core.spark.{SluggerSpark, SparkSummary}
 import repro.graph.LocalGraph
 
 /** Summarize one named dataset with the distributed (Spark dataflow) SLUGGER
@@ -24,8 +23,7 @@ object RunSluggerDistributed {
     val edges = Datasets.byName(name).gen(spark, Datasets.defaultScale)
     val g = LocalGraph.fromDF(edges)
     val res = SluggerSpark.summarize(spark, edges, Slugger.Config(T = bigT))
-    val frames = res.summary.toFrames(spark)
-    val decoded = HierSummary.decompressDF(spark, frames)
+    val decoded = SparkSummary.decompressDF(SparkSummary.toFrames(spark, res.summary))
     val diff = decoded.exceptAll(LocalGraph.toDF(spark, g))
       .unionByName(LocalGraph.toDF(spark, g).exceptAll(decoded)).count()
     println(s"dataset=$name |E|=${g.m} cost=${res.summary.cost} " +

@@ -26,8 +26,7 @@ final class PruneState(val nSub: Int, val m: Long,
   val sign = mutable.HashMap.empty[Long, Int]
   val inc: Array[mutable.HashSet[Int]] = Array.fill(parent.length)(mutable.HashSet.empty[Int])
 
-  def pack(x: Int, y: Int): Long =
-    if (x <= y) x.toLong << 32 | y.toLong else y.toLong << 32 | x.toLong
+  def pack(x: Int, y: Int): Long = FlatModel.pairKey(x, y)
 
   def addEdge(x: Int, y: Int, s: Int): Unit = {
     val k = pack(x, y)
@@ -135,20 +134,12 @@ object Pruner {
     * current hierarchical encoding (paper's Step 3).
     */
   def step3(ps: PruneState, g: LocalGraph): Int = {
-    val top = Array.tabulate(ps.nSub)(ps.topOf)
-    val leavesByTop = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    (0 until ps.nSub).foreach(u => leavesByTop.getOrElseUpdate(top(u), mutable.ArrayBuffer.empty) += u)
-
+    val (leavesByTop, subGroups) = FlatModel.group(g, Array.tabulate(ps.nSub)(ps.topOf))
     // current edge positions grouped by root pair
     val curGroups = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
     ps.sign.keysIterator.foreach { k =>
       val x = (k >>> 32).toInt; val y = (k & 0xFFFFFFFFL).toInt
       curGroups.getOrElseUpdate(ps.pack(ps.topOf(x), ps.topOf(y)), mutable.ArrayBuffer.empty) += k
-    }
-    // ground-truth subedges grouped by root pair
-    val subGroups = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, Int)]]
-    g.edges.foreach { case (u, v) =>
-      subGroups.getOrElseUpdate(ps.pack(top(u), top(v)), mutable.ArrayBuffer.empty) += ((u, v))
     }
 
     var changed = 0

@@ -50,12 +50,28 @@ object FlatModel {
     }
   }
 
+  /** Group pair key, smaller group first. */
+  def pairKey(a: Int, b: Int): Long = if (a <= b) a.toLong << 32 | b.toLong else b.toLong << 32 | a.toLong
+
+  /** The grouping `groupOf` (subnode -> group) of g's subnodes: each group's
+    * members in ascending order, and g's edges by group pair ([[pairKey]])
+    * in `g.edges` order.
+    */
+  def group(g: LocalGraph, groupOf: Array[Int])
+      : (mutable.HashMap[Int, mutable.ArrayBuffer[Int]], mutable.HashMap[Long, mutable.ArrayBuffer[(Int, Int)]]) = {
+    val members = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+    (0 until g.n).foreach(u => members.getOrElseUpdate(groupOf(u), mutable.ArrayBuffer.empty) += u)
+    val subedges = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, Int)]]
+    g.edges.foreach { case (u, v) =>
+      subedges.getOrElseUpdate(pairKey(groupOf(u), groupOf(v)), mutable.ArrayBuffer.empty) += ((u, v))
+    }
+    (members, subedges)
+  }
+
   /** Optimal flat encoding of the grouping `superOf` (subnode -> group). */
   def encode(g: LocalGraph, superOf: Array[Int]): HierSummary = {
     val n = g.n
-    // dense supernode ids and member lists
-    val members = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    (0 until n).foreach(u => members.getOrElseUpdate(superOf(u), mutable.ArrayBuffer.empty) += u)
+    val (members, subedges) = group(g, superOf)
     val groupIds = members.keys.toArray.sorted
     // super id layout in the HierSummary: singletons keep their subnode id;
     // each group with >= 2 members gets a fresh id.
@@ -70,13 +86,6 @@ object FlatModel {
         ms.foreach(u => parent(u) = sid)
         supIdOf(gid) = sid
       }
-    }
-    // subedges per group pair (smaller group id first)
-    val subedges = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, Int)]]
-    g.edges.foreach { case (u, v) =>
-      val a = superOf(u); val b = superOf(v)
-      val k = if (a <= b) a.toLong << 32 | b.toLong else b.toLong << 32 | a.toLong
-      subedges.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += ((u, v))
     }
     val pp = mutable.ArrayBuffer.empty[(Int, Int)]
     val pm = mutable.ArrayBuffer.empty[(Int, Int)]

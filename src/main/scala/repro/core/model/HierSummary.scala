@@ -1,6 +1,5 @@
 package repro.core.model
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.collection.mutable
 
 /** The hierarchical graph summarization model \bar{G} = (S, P+, P-, H).
@@ -181,20 +180,15 @@ final case class HierSummary(
     */
   private lazy val readIndex: ReadIndex = ReadIndex(this)
 
-  /** endpoint -> (other endpoint, sign, isLoop) for every p/n edge. Queries
-    * read [[readIndex]] instead; this map is kept for perfbench's leaf-visit
-    * count and index timing.
+  /** endpoint -> (other endpoint, sign, isLoop) for every p/n edge: a map
+    * view of [[readIndex]]'s incidence, which queries read directly. It is
+    * kept for perfbench's leaf-visit count and index timing.
     */
   lazy val incidentIndex: Map[Int, List[(Int, Int, Boolean)]] = {
-    val b = mutable.HashMap.empty[Int, List[(Int, Int, Boolean)]]
-    def add(x: Int, rec: (Int, Int, Boolean)): Unit = b(x) = rec :: b.getOrElse(x, Nil)
-    pPlus.foreach { case (x, y) =>
-      if (x == y) add(x, (y, +1, true)) else { add(x, (y, +1, false)); add(y, (x, +1, false)) }
-    }
-    pMinus.foreach { case (x, y) =>
-      if (x == y) add(x, (y, -1, true)) else { add(x, (y, -1, false)); add(y, (x, -1, false)) }
-    }
-    b.toMap
+    val ix = readIndex
+    (0 until nSupers).iterator.filter(x => ix.start(x) < ix.start(x + 1)).map { x =>
+      x -> List.range(ix.start(x), ix.start(x + 1)).map(i => (ix.other(i), ix.sign(i), ix.other(i) == x))
+    }.toMap
   }
 
   /** Proportion of p-, n-, and h-edges in the output (Fig. 6). */
@@ -202,25 +196,6 @@ final case class HierSummary(
     val tot = cost.toDouble
     if (tot == 0) (0.0, 0.0, 0.0)
     else (pPlus.size / tot, pMinus.size / tot, hEdgeCount / tot)
-  }
-
-  // ---------------------------------------------------------------- frames
-
-  /** Export as DataFrames for Spark-side decompression and the DuckDB oracle:
-    * pn(x, y, sign), hier(parent, child), leaves(sup, sub).
-    */
-  def toFrames(spark: SparkSession): SummaryFrames = {
-    import spark.implicits._
-    val pn = (pPlus.map { case (x, y) => (x, y, 1) } ++ pMinus.map { case (x, y) => (x, y, -1) })
-      .toDF("x", "y", "sign")
-    val hier = (0 until nSupers)
-      .collect { case x if alive(x) && parent(x) >= 0 => (parent(x), x) }
-      .toDF("parent", "child")
-    val leaves = (0 until nSupers)
-      .filter(alive)
-      .flatMap(x => leavesOf(x).map(u => (x, u)))
-      .toDF("sup", "sub")
-    SummaryFrames(pn, hier, leaves)
   }
 }
 
@@ -281,9 +256,6 @@ private[model] object ReadIndex {
   }
 }
 
-/** DataFrame view of a summary (see [[HierSummary.toFrames]]). */
-final case class SummaryFrames(pn: DataFrame, hier: DataFrame, leaves: DataFrame)
-
 object HierSummary {
 
   /** The identity summary of a graph: all-singleton supernodes, one p-edge
@@ -291,27 +263,4 @@ object HierSummary {
     */
   def identity(n: Int, edges: Iterator[(Int, Int)]): HierSummary =
     HierSummary(n, Array.fill(n)(-1), Array.fill(n)(true), edges.toSeq, Nil)
-
-  /** Spark-side decompression: explode p/n edges through the membership
-    * table and keep pairs with positive net count. Exercises the DataFrame
-    * path end-to-end (shuffle joins + aggregation).
-    */
-  def decompressDF(spark: SparkSession, fr: SummaryFrames): DataFrame = {
-    import org.apache.spark.sql.functions._
-    val lx = fr.leaves.withColumnRenamed("sup", "x").withColumnRenamed("sub", "u")
-    val ly = fr.leaves.withColumnRenamed("sup", "y").withColumnRenamed("sub", "v")
-    fr.pn
-      .join(lx, "x")
-      .join(ly, "y")
-      .where(col("u") =!= col("v"))
-      .select(least(col("u"), col("v")).as("src"), greatest(col("u"), col("v")).as("dst"),
-              col("sign"), col("x"), col("y"))
-      // a loop (x == x) enumerates each unordered pair twice; halve its weight
-      .withColumn("w", when(col("x") === col("y"), col("sign") * lit(0.5))
-                        .otherwise(col("sign").cast("double")))
-      .groupBy("src", "dst")
-      .agg(sum("w").as("net"))
-      .where(col("net") >= 0.5)
-      .select(col("src").cast("long"), col("dst").cast("long"))
-  }
 }

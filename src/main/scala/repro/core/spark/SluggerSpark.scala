@@ -19,9 +19,9 @@ import scala.collection.mutable
   *     driver-held state (one commit per accepted merge), which keeps the
   *     encoding globally consistent without cross-group write conflicts.
   *
-  * The result is not verified here: `repro.jobs.RunSluggerDistributed`
-  * checks it by DataFrame decompression (`HierSummary.decompressDF`), and
-  * the tests by comparing `decompress` with the input.
+  * The edge frame is collected once into the driver's `LocalGraph`. The
+  * result is not verified here: `repro.jobs.RunSluggerDistributed` checks
+  * it by [[SparkSummary.decompressDF]], and the tests by `decompress`.
   *
   * Candidate sets partition the roots, so decisions from different groups
   * never merge the same root (replay asserts this); replay order only

@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.expressions.XXH64
 
 /** Deterministic synthetic graph generators.
   *
@@ -9,37 +9,38 @@ import org.apache.spark.sql.functions._
   * not available offline, so each is substituted with one of three synthetic
   * generators whose structure exercises the same code paths: clique unions,
   * complete bipartite cores and scale-free tails, each with near-random
-  * noise (see `repro.bench.Datasets`). All generators
-  * are pure functions of their arguments: node/edge identities derive from
-  * `xxhash64` over row ids, never from `rand()`, so re-runs (and the DuckDB
-  * oracle) see identical graphs.
+  * noise (see `repro.bench.Datasets`). All generators are pure functions of
+  * their arguments: node/edge identities derive from Spark's `xxhash64` over
+  * row ids, never from a random generator, so re-runs see identical graphs.
   *
-  * Every generator returns a canonical simple undirected edge list:
-  * columns `(src BIGINT, dst BIGINT)` with `src < dst`, no duplicates,
-  * no self-loops.
+  * They are plain loops, but keep their `(SparkSession, ...) => DataFrame`
+  * signatures, which the stand-ins (`Datasets.Spec.gen`) and the benchmark's
+  * workloads are declared with. Each returns a canonical simple undirected
+  * edge list `(src BIGINT, dst BIGINT)`: `src < dst`, no duplicates or loops.
   */
 object GraphGen {
 
-  /** Canonicalize an arbitrary (src,dst) frame: undirected, simple. */
-  def canonical(edges: DataFrame): DataFrame = {
-    val e = edges.select(
-      least(col("src"), col("dst")).cast("long").as("src"),
-      greatest(col("src"), col("dst")).cast("long").as("dst"),
-    )
-    e.where(col("src") =!= col("dst")).distinct()
+  /** Spark's `pmod(xxhash64(i, salt), n)`: a pseudo-uniform draw in [0, n). */
+  private def draw(i: Long, salt: Long, n: Long): Long =
+    Math.floorMod(XXH64.hashLong(salt, XXH64.hashLong(i, 42)), n)
+
+  /** The pairs, canonicalized, as the `(src BIGINT, dst BIGINT)` frame. */
+  private def frame(spark: SparkSession, pairs: Iterator[(Long, Long)]): DataFrame = {
+    import spark.implicits._
+    LocalGraph.canonical(pairs).toSeq.toDF("src", "dst")
   }
 
-  /** Hash-derived pseudo-uniform draw in [0, n) from (i, salt). */
-  private def draw(i: org.apache.spark.sql.Column, salt: Long, n: Long) =
-    pmod(xxhash64(i, lit(salt)), lit(n))
+  /** Sizes must be >= 0, and those named in `onto` (the nodes edge draws land on) >= 1 if `draws` > 0. */
+  private def check(gen: String, draws: Long, onto: String*)(sizes: (String, Long)*): Unit =
+    sizes.foreach { case (arg, v) =>
+      val min = if (draws > 0 && onto.contains(arg)) 1 else 0
+      require(v >= min, s"GraphGen.$gen: $arg = $v, must be >= $min" + (if (min > 0) s" to draw $draws edges" else ""))
+    }
 
   /** Erdős–Rényi-ish G(n, m): m hash-sampled pairs (slightly fewer after dedup). */
   def erdosRenyi(spark: SparkSession, n: Long, m: Long, seed: Long = 7): DataFrame = {
-    val draws = spark.range(m)
-    canonical(draws.select(
-      draw(col("id"), seed, n).as("src"),
-      draw(col("id"), seed + 1, n).as("dst"),
-    ))
+    check("erdosRenyi", m, "n")("n" -> n, "m" -> m)
+    frame(spark, (0L until m).iterator.map(i => (draw(i, seed, n), draw(i, seed + 1, n))))
   }
 
   /** Scale-free-ish graph: node u links to ~d earlier nodes with a bias
@@ -47,13 +48,12 @@ object GraphGen {
     * attachment). Stands in for the barely compressible topologies (CA, YO).
     */
   def prefAttach(spark: SparkSession, n: Long, d: Int, seed: Long = 11): DataFrame = {
-    val rows = spark.range(1, n).selectExpr(s"id as u", s"explode(sequence(0, ${d - 1})) as j")
-    // x in [0,1) ^ 2 biases targets toward 0 => power-law-ish in-degree.
-    val x = draw(col("u") * lit(d.toLong) + col("j"), seed, 1000000L).cast("double") / 1000000.0
-    canonical(rows.select(
-      col("u").as("src"),
-      floor(col("u").cast("double") * x * x).cast("long").as("dst"),
-    ))
+    check("prefAttach", 0)("n" -> n, "d" -> d.toLong)
+    frame(spark, for { u <- (1L until n).iterator; j <- Iterator.range(0, d) } yield {
+      // x in [0,1) ^ 2 biases targets toward 0 => power-law-ish in-degree.
+      val x = draw(u * d + j, seed, 1000000L).toDouble / 1000000.0
+      (u, math.floor(u.toDouble * x * x).toLong)
+    })
   }
 
   /** Union of `nCliques` cliques of `cliqueSize` plus `bridges` random edges.
@@ -62,19 +62,14 @@ object GraphGen {
     */
   def cliqueUnion(spark: SparkSession, nCliques: Long, cliqueSize: Int,
                   bridges: Long, seed: Long = 17): DataFrame = {
+    check("cliqueUnion", bridges, "nCliques", "cliqueSize")(
+      "nCliques" -> nCliques, "cliqueSize" -> cliqueSize.toLong, "bridges" -> bridges)
     val n = nCliques * cliqueSize
-    val members = spark.range(cliqueSize.toLong).toDF("i")
-    val pairs = members.as("a").crossJoin(members.withColumnRenamed("i", "j").as("b"))
-      .where(col("i") < col("j"))
-    val cliques = spark.range(nCliques).toDF("c").crossJoin(pairs).select(
-      (col("c") * cliqueSize + col("i")).as("src"),
-      (col("c") * cliqueSize + col("j")).as("dst"),
-    )
-    val extra = spark.range(bridges).select(
-      draw(col("id"), seed, n).as("src"),
-      draw(col("id"), seed + 1, n).as("dst"),
-    )
-    canonical(cliques.unionByName(extra))
+    val cliques = for {
+      c <- (0L until nCliques).iterator; i <- Iterator.range(0, cliqueSize); j <- Iterator.range(i + 1, cliqueSize)
+    } yield (c * cliqueSize + i, c * cliqueSize + j)
+    val extra = (0L until bridges).iterator.map(i => (draw(i, seed, n), draw(i, seed + 1, n)))
+    frame(spark, cliques ++ extra)
   }
 
   /** Union of complete bipartite cores K_{a,b} plus noise. Bipartite cores
@@ -84,17 +79,14 @@ object GraphGen {
     */
   def bipartiteCores(spark: SparkSession, nCores: Long, a: Int, b: Int,
                      noise: Long, seed: Long = 29): DataFrame = {
+    check("bipartiteCores", noise, "nCores", "a + b")(
+      "nCores" -> nCores, "a" -> a.toLong, "b" -> b.toLong, "a + b" -> (a + b).toLong, "noise" -> noise)
     val span = (a + b).toLong
     val n = nCores * span
-    val hubs = spark.range(a.toLong).toDF("i")
-    val leaves = spark.range(a.toLong, span).toDF("j")
-    val cores = spark.range(nCores).toDF("c")
-      .crossJoin(hubs).crossJoin(leaves)
-      .select((col("c") * span + col("i")).as("src"), (col("c") * span + col("j")).as("dst"))
-    val extra = spark.range(noise).select(
-      draw(col("id"), seed, n).as("src"),
-      draw(col("id"), seed + 1, n).as("dst"),
-    )
-    canonical(cores.unionByName(extra))
+    val cores = for {
+      c <- (0L until nCores).iterator; i <- Iterator.range(0, a); j <- Iterator.range(a, a + b)
+    } yield (c * span + i, c * span + j)
+    val extra = (0L until noise).iterator.map(i => (draw(i, seed, n), draw(i, seed + 1, n)))
+    frame(spark, cores ++ extra)
   }
 }

@@ -6,8 +6,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *
   * Node ids are remapped to a dense [0, n) range; `adj` is a CSR-style
   * sorted adjacency array. This is the substrate the SLUGGER merge engine
-  * and the baselines operate on after Spark has generated / canonicalized
-  * the edge list.
+  * and the baselines operate on. Raw pairs are canonicalized by
+  * [[LocalGraph.canonical]] (the generators' routine too); `fromDF`/`toDF`
+  * convert the `(src, dst)` frames that the Spark path and benchmark use.
   *
   * @param n     number of nodes (dense ids 0..n-1)
   * @param adj   sorted neighbor arrays, one per node
@@ -30,19 +31,23 @@ final class LocalGraph(val n: Int, val adj: Array[Array[Int]], val ids: Array[Lo
 
 object LocalGraph {
 
-  /** Build from a canonical (src,dst) DataFrame (see [[GraphGen.canonical]]). */
+  /** Build from a (src, dst) DataFrame of BIGINT ids. */
   def fromDF(edges: DataFrame): LocalGraph = {
-    val rows = edges.select("src", "dst").collect()
-    val pairs = rows.map(r => (r.getLong(0), r.getLong(1)))
-    fromEdges(pairs.toIndexedSeq)
+    fromEdges(edges.select("src", "dst").collect().toIndexedSeq.map(r => (r.getLong(0), r.getLong(1))))
   }
 
-  /** Build from raw (possibly messy) pairs: canonicalizes in-memory. */
-  def fromEdges(pairs: Seq[(Long, Long)]): LocalGraph = {
-    val clean = pairs.iterator
+  /** The simple undirected graph of raw pairs: self-loops dropped, each
+    * pair as (smaller id, larger id), duplicates merged.
+    */
+  def canonical(pairs: IterableOnce[(Long, Long)]): Set[(Long, Long)] =
+    pairs.iterator
       .filter { case (a, b) => a != b }
       .map { case (a, b) => if (a < b) (a, b) else (b, a) }
       .toSet
+
+  /** Build from raw (possibly messy) pairs, canonicalized by [[canonical]]. */
+  def fromEdges(pairs: Seq[(Long, Long)]): LocalGraph = {
+    val clean = canonical(pairs)
     val ids = clean.iterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
     val idx = ids.zipWithIndex.toMap
     val n = ids.length

@@ -3,6 +3,7 @@ package repro.bench
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.graph.LocalGraph
+import scala.util.hashing.MurmurHash3
 
 /** The 16 synthetic stand-ins: canonical, non-trivial, deterministic. */
 class DatasetsSpec extends SparkSpec {
@@ -17,6 +18,23 @@ class DatasetsSpec extends SparkSpec {
       assert(g.n >= 10)
       df.unpersist()
     }
+  }
+
+  // MurmurHash3.unorderedHash of each stand-in's edge set at scale 1, as
+  // (src, dst) pairs; recorded from the Spark SQL generators that the
+  // plain-Scala ones replaced.
+  private val edgeSetHash = Map(
+    "CA" -> -259596549, "FA" -> -846228596, "PR" -> 1833494264, "EM" -> 1996255912,
+    "DB" -> 340410127, "AM" -> 1561939013, "CN" -> 1039819207, "YO" -> 1381130199,
+    "SK" -> -944979720, "EU" -> -741558563, "ES" -> 515602144, "LJ" -> 378768284,
+    "HO" -> -1710720629, "IC" -> -2119802944, "U2" -> -989272753, "U5" -> -890525644)
+
+  test("every stand-in at scale 1 has its recorded edge set") {
+    val got = Datasets.all.map { spec =>
+      spec.name -> MurmurHash3.unorderedHash(
+        spec.gen(spark, 1.0).collect().iterator.map(r => (r.getLong(0), r.getLong(1))).toSet)
+    }.toMap
+    assert(got == edgeSetHash)
   }
 
   test("generation is deterministic per dataset") {

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.model.HierSummary
+import repro.core.spark.SparkSummary
 import repro.graph.{GraphGen, LocalGraph}
 
 /** Model mechanics of the hierarchical graph summarization model (paper §II-B),
@@ -190,7 +191,7 @@ class HierSummarySpec extends SparkSpec {
   test("decompressDF (Spark) agrees with local decompression") {
     val g = LocalGraph.fromDF(GraphGen.cliqueUnion(spark, 6, 5, 15, seed = 4))
     val s = repro.core.local.Slugger.summarize(g, repro.core.local.Slugger.Config(T = 10)).summary
-    val viaDF = HierSummary.decompressDF(spark, s.toFrames(spark))
+    val viaDF = SparkSummary.decompressDF(SparkSummary.toFrames(spark, s))
       .collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSet
     assert(viaDF == s.decompress)
   }
@@ -199,13 +200,13 @@ class HierSummarySpec extends SparkSpec {
     val g = LocalGraph.fromEdges(for { i <- 0 until 6; j <- i + 1 until 6 } yield (i.toLong, j.toLong))
     val s = repro.core.local.Slugger.summarize(g, repro.core.local.Slugger.Config(T = 8)).summary
     assert(s.pPlus.exists { case (x, y) => x == y }, "expected a loop encoding the clique")
-    val viaDF = HierSummary.decompressDF(spark, s.toFrames(spark))
+    val viaDF = SparkSummary.decompressDF(SparkSummary.toFrames(spark, s))
       .collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSet
     assert(viaDF == g.edgeSet)
   }
 
   test("toFrames exports consistent membership") {
-    val fr = fig2.toFrames(spark)
+    val fr = SparkSummary.toFrames(spark, fig2)
     assert(fr.hier.count() == 5)
     assert(fr.pn.count() == 3)
     val leaves7 = fr.leaves.where(org.apache.spark.sql.functions.col("sup") === 7)

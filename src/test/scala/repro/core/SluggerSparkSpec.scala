@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.local.{CandidateGen, Slugger}
 import repro.core.model.HierSummary
-import repro.core.spark.{CandidateGenSpark, GroupState, GroupTask, SluggerSpark}
+import repro.core.spark.{CandidateGenSpark, GroupState, GroupTask, SluggerSpark, SparkSummary}
 import repro.graph.{GraphGen, LocalGraph}
 
 /** Distributed SLUGGER: the driver's candidate sets become one RDD job of
@@ -176,7 +176,7 @@ class SluggerSparkSpec extends SparkSpec {
     val edges = GraphGen.bipartiteCores(spark, 4, 4, 8, 20, seed = 11)
     val g = LocalGraph.fromDF(edges)
     val res = SluggerSpark.summarize(spark, edges, Slugger.Config(T = 4))
-    val decoded = HierSummary.decompressDF(spark, res.summary.toFrames(spark))
+    val decoded = SparkSummary.decompressDF(SparkSummary.toFrames(spark, res.summary))
     val diff = decoded.exceptAll(LocalGraph.toDF(spark, g))
       .unionByName(LocalGraph.toDF(spark, g).exceptAll(decoded))
     assert(diff.isEmpty, "DataFrame decompression mismatch")
@@ -189,9 +189,9 @@ class SluggerSparkSpec extends SparkSpec {
     */
   def duckReconstructs(summary: HierSummary): Unit = {
     import spark.implicits._
-    val fr = summary.toFrames(spark)
+    val fr = SparkSummary.toFrames(spark, summary)
     val sing = (0 until summary.nSub).toDF("sub")
-    val sparkSide = HierSummary.decompressDF(spark, fr)
+    val sparkSide = SparkSummary.decompressDF(fr)
       .select(col("src").cast("long"), col("dst").cast("long"))
     Oracle.assertEquivalent(sparkSide,
       """WITH RECURSIVE closure(sup, sub) AS (

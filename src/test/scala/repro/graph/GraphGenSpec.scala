@@ -47,10 +47,40 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("canonical() drops self-loops, duplicates and directions") {
-    import spark.implicits._
-    val raw = Seq((1L, 2L), (2L, 1L), (3L, 3L), (1L, 2L), (5L, 4L)).toDF("src", "dst")
-    val got = GraphGen.canonical(raw).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(got == Set((1L, 2L), (4L, 5L)))
+    val raw = Seq((1L, 2L), (2L, 1L), (3L, 3L), (1L, 2L), (5L, 4L))
+    assert(LocalGraph.canonical(raw) == Set((1L, 2L), (4L, 5L)))
+  }
+
+  test("prefAttach with d = 0 links no node") {
+    assert(GraphGen.prefAttach(spark, 10, 0).count() == 0)
+    assert(GraphGen.prefAttach(spark, 10, 1).count() > 0)
+  }
+
+  test("generators reject negative sizes and draws with no node to land on") {
+    def rejects(gen: => Any, names: String*): Unit = {
+      val e = intercept[IllegalArgumentException](gen)
+      names.foreach(w => assert(e.getMessage.contains(w), s"'${e.getMessage}' does not name $w"))
+    }
+    rejects(GraphGen.erdosRenyi(spark, 0, 10), "erdosRenyi", "n = 0")
+    rejects(GraphGen.erdosRenyi(spark, 5, -1), "erdosRenyi", "m = -1")
+    rejects(GraphGen.prefAttach(spark, -3, 2), "prefAttach", "n = -3")
+    rejects(GraphGen.prefAttach(spark, 10, -1), "prefAttach", "d = -1")
+    rejects(GraphGen.cliqueUnion(spark, 0, 5, 10), "cliqueUnion", "nCliques = 0")
+    rejects(GraphGen.cliqueUnion(spark, 3, 0, 10), "cliqueUnion", "cliqueSize = 0")
+    rejects(GraphGen.cliqueUnion(spark, 3, -2, 0), "cliqueUnion", "cliqueSize = -2")
+    rejects(GraphGen.cliqueUnion(spark, 3, 4, -1), "cliqueUnion", "bridges = -1")
+    rejects(GraphGen.bipartiteCores(spark, 0, 3, 4, 5), "bipartiteCores", "nCores = 0")
+    rejects(GraphGen.bipartiteCores(spark, 2, 0, 0, 5), "bipartiteCores", "a + b = 0")
+    rejects(GraphGen.bipartiteCores(spark, 2, -1, 4, 0), "bipartiteCores", "a = -1")
+    rejects(GraphGen.bipartiteCores(spark, 2, 3, 4, -5), "bipartiteCores", "noise = -5")
+  }
+
+  test("sizes with nothing to draw give empty graphs") {
+    assert(GraphGen.erdosRenyi(spark, 0, 0).count() == 0)
+    assert(GraphGen.erdosRenyi(spark, 5, 0).count() == 0)
+    assert(GraphGen.prefAttach(spark, 0, 2).count() == 0)
+    assert(GraphGen.cliqueUnion(spark, 0, 5, 0).count() == 0)
+    assert(GraphGen.bipartiteCores(spark, 0, 3, 4, 0).count() == 0)
   }
 
   test("degree distribution agrees with DuckDB oracle") {
