@@ -1,6 +1,8 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.types.LongType
+import repro.core.spark.SparkJobs
 
 /** Compact in-memory view of a simple undirected graph.
   *
@@ -31,9 +33,23 @@ final class LocalGraph(val n: Int, val adj: Array[Array[Int]], val ids: Array[Lo
 
 object LocalGraph {
 
-  /** Build from a (src, dst) DataFrame of BIGINT ids. */
+  /** Build from a DataFrame with BIGINT columns `src` and `dst`. The rows
+    * come through the frame's own `rdd`, which Spark plans once per frame,
+    * so repeated calls on one frame run a job but plan no query.
+    */
   def fromDF(edges: DataFrame): LocalGraph = {
-    fromEdges(edges.select("src", "dst").collect().toIndexedSeq.map(r => (r.getLong(0), r.getLong(1))))
+    val Seq(s, d) = Seq("src", "dst").map { c =>
+      val found = edges.schema.find(_.name == c).map(_.dataType)
+      require(found.contains(LongType),
+        s"LocalGraph.fromDF needs a BIGINT column $c, found ${found.fold("no such column")(_.sql)}")
+      edges.schema.fieldIndex(c)
+    }
+    val flat = SparkJobs.collect(edges.rdd) { rows =>
+      val out = Array.newBuilder[Long]
+      rows.foreach { r => out += r.getLong(s); out += r.getLong(d) }
+      out.result()
+    }
+    fromEdges(Seq.tabulate(flat.length / 2)(i => (flat(2 * i), flat(2 * i + 1))))
   }
 
   /** The simple undirected graph of raw pairs: self-loops dropped, each

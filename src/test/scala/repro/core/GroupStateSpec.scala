@@ -2,10 +2,11 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs.randomGraph
+import repro.core.encode.Enc
 import repro.core.local.{MergeEngine, Slugger, SummaryState}
-import repro.core.spark.{GroupState, GroupTask, RootInfo}
+import repro.core.spark.{GroupState, GroupTask}
 import repro.graph.LocalGraph
-import scala.util.Random
+import scala.util.{Random, Try}
 
 /** The executor-side snapshot is complete: on every candidate set, the
   * task holds the driver's roots, children and pair encodings, and running
@@ -47,6 +48,24 @@ class GroupStateSpec extends AnyFunSuite {
   test("task snapshots reproduce processGroup under a height bound") {
     check(cliquesPlusNoise(8, 30, 4), Slugger.Config(T = 6, seed = 4, maxGroupSize = 12, heightBound = 2))
   }
+
+  test("packed edges round-trip at id 0 and a run's largest supernode id, both signs") {
+    val g = cliquesPlusNoise(8, 30, 4)
+    val largest = Slugger.summarize(g, Slugger.Config(T = 6, seed = 4, maxGroupSize = 12)).summary.nSupers - 1
+    assert(largest > g.n)
+    for (x <- Seq(0, largest); y <- Seq(0, largest, Int.MaxValue); sign <- Seq(1, -1)) {
+      val e = Enc(x, y, sign)
+      assert(GroupTask.unpackEdge(GroupTask.packEdge(e)) == e, e)
+    }
+  }
+
+  test("the edge codec rejects a negative id and a sign other than +1 or -1, naming the value") {
+    for ((e, value) <- Seq(Enc(-1, 3, 1) -> "id -1", Enc(0, -7, -1) -> "id -7",
+                           Enc(0, 3, 0) -> "sign 0", Enc(0, 3, 2) -> "sign 2")) {
+      val err = intercept[IllegalArgumentException](GroupTask.packEdge(e))
+      assert(err.getMessage.contains(value), err.getMessage)
+    }
+  }
 }
 
 object GroupStateSpec {
@@ -70,10 +89,10 @@ object GroupStateSpec {
           val idBase = st.nSupers
           val task = GroupTask.of(st, set, th, cfg.heightBound, seed)
           taskMismatches(st, set, task).foreach(m => mismatches += s"set $i at θ=$th: $m")
-          val decisions = GroupState.run(task)
+          val decisions = GroupState.run(task).grouped(2).map(_.toSeq).toSeq
           val local = engine.processGroup(set, th, new Random(seed), cfg.heightBound)
           val same = decisions.length == local && decisions.zipWithIndex.forall {
-            case ((a, b), k) => st.childrenOf(idBase + k) == Seq(a, b)
+            case (ab, k) => st.childrenOf(idBase + k) == ab
           }
           if (!same) mismatches += s"set $i at θ=$th: executor $decisions, local $local merges"
           merges + local
@@ -82,29 +101,46 @@ object GroupStateSpec {
     (compared, mismatches.result())
   }
 
-  /** How `task` differs from the driver state it snapshots: each set root's
-    * [[RootInfo]], the children of every set root and neighbor root, and the
-    * pair encodings, where a pair with a root outside the set must ship its
-    * whole buffer in order, from its set root, and a pair inside the set
-    * must ship once.
+  /** How `task`, as [[GroupState]]'s own decoder reads it, differs from the
+    * driver state it snapshots: the set's order; each set root's family
+    * size, height and internal encodings (the only roots registered); the
+    * children of every set root and neighbor root; and every pair buffer of
+    * a set root, whole and in order, shared by both of its entries, with a
+    * neighbor root's stub holding exactly its pairs with the set. On the
+    * raw wire, each pair must ship once, from a root in the set.
     */
   def taskMismatches(st: SummaryState, set: Seq[Int], task: GroupTask): Seq[String] = {
     val inSet = set.toSet
     val out = Seq.newBuilder[String]
-    val roots = set.map(r => RootInfo(r, st.famSize(r), st.heightOf(r), st.internal(r).toSeq))
-    if (task.roots != roots) out += s"task roots ${task.roots}, driver $roots"
-    val neighbors = set.flatMap(st.pairs(_).keys).filterNot(inSet)
-    val children = (set ++ neighbors).map(x => x -> st.childrenOf(x)).toMap
-    if (task.children != children) out += s"task children ${task.children}, driver $children"
-    def key(a: Int, c: Int): (Int, Int) = if (inSet(c)) (a min c, a max c) else (a, c)
-    val driver = set.flatMap(a => st.pairs(a).map { case (c, buf) => key(a, c) -> buf.toSeq }).toMap
-    val shipped = task.pairEncs.map { case (a, c, es) => key(a, c) -> es }
-    val foreignFirst = task.pairEncs.collect { case (a, c, _) if !inSet(a) => (a, c) }
+    if (task.roots.toSeq != set) out += s"task set ${task.roots.toSeq}, driver $set"
+    val gs = new GroupState(task)
+    if (gs.famSize.keySet != inSet) out += s"roots registered ${gs.famSize.keySet}, set $inSet"
+    set.filter(gs.isRoot).foreach { r =>
+      val shipped = (gs.famSize(r), gs.heightOf(r), gs.internal(r))
+      val driver = (st.famSize(r), st.heightOf(r), st.internal(r))
+      if (shipped != driver) out += s"root $r: task (famSize, height, internal) $shipped, driver $driver"
+    }
+    val neighbors = set.flatMap(st.pairs(_).keys).filterNot(inSet).distinct
+    (set ++ neighbors).foreach { x =>
+      val children = Try(gs.childrenOf(x)).toOption
+      if (!children.contains(st.childrenOf(x))) out += s"children of $x: task $children, driver ${st.childrenOf(x)}"
+    }
+    if (gs.pairs.keySet != inSet ++ neighbors) out += s"pair keys ${gs.pairs.keySet}, driver ${inSet ++ neighbors}"
+    set.foreach { a =>
+      if (gs.pairs.get(a).contains(st.pairs(a))) {
+        if (!gs.pairs(a).forall { case (c, buf) => gs.pairs.get(c).flatMap(_.get(a)).exists(_ eq buf) })
+          out += s"root $a: a pair buffer is not shared by both of its entries"
+      } else out += s"pairs of $a: task ${gs.pairs.get(a)}, driver ${st.pairs(a)}"
+    }
+    neighbors.foreach { c =>
+      val keys = gs.pairs.get(c).map(_.keySet)
+      if (!keys.contains(st.pairs(c).keySet.intersect(inSet))) out += s"neighbor $c: task pairs with $keys"
+    }
+    val shipped = task.pairRoots.grouped(2).map { case Array(a, c) => (a, c) }.toSeq
+    val foreignFirst = shipped.filterNot { case (a, _) => inSet(a) }
     if (foreignFirst.nonEmpty) out += s"pairs shipped from a root outside the set: $foreignFirst"
-    if (shipped.map(_._1).distinct.length != shipped.length) out += "a pair shipped twice"
-    val byKey = shipped.toMap
-    val differ = (driver.keySet ++ byKey.keySet).filter(k => driver.get(k) != byKey.get(k))
-    if (differ.nonEmpty) out += s"pair encodings differ from the driver's at ${differ.toSeq.sorted.mkString(", ")}"
+    val keys = shipped.map { case (a, c) => (a min c, a max c) }
+    if (keys.distinct.length != keys.length) out += "a pair shipped twice"
     out.result()
   }
 }

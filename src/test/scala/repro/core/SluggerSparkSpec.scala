@@ -1,13 +1,15 @@
 package repro.core
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.local.{CandidateGen, Slugger}
+import repro.core.local.{CandidateGen, MergeEngine, Slugger, SummaryState}
 import repro.core.model.HierSummary
 import repro.core.spark.{CandidateGenSpark, GroupState, GroupTask, SluggerSpark, SparkSummary}
 import repro.graph.{GraphGen, LocalGraph}
 
-/** Distributed SLUGGER: the driver's candidate sets become one RDD job of
+/** Distributed SLUGGER: the driver's candidate sets become one Spark job of
   * group tasks per iteration, replayed in order; DataFrame decompression and
   * the DuckDB reconstruction oracle check the output. The DataFrame
   * candidate generator (`CandidateGenSpark`, off the summarize path) keeps
@@ -78,8 +80,8 @@ class SluggerSparkSpec extends SparkSpec {
   }
 
   test("distributed SLUGGER is deterministic for fixed edges and Config") {
-    // tasks come in CandidateGen's order and collect keeps it, so replay
-    // order does not depend on how the RDD is sliced; on the ragged input
+    // tasks come in CandidateGen's order and the job helper keeps it, so
+    // replay order does not depend on how the RDD is sliced; on the ragged input
     // (about a tenth of the clique edges dropped) the executor threads share
     // MinCover's memo, whose answers do not depend on which thread asked first
     val cliques = GraphGen.cliqueUnion(spark, 12, 8, 60, seed = 9)
@@ -114,7 +116,7 @@ class SluggerSparkSpec extends SparkSpec {
         val seed = cfg.seed + 7919L * t
         assert(sets == CandidateGen.groups(st, seed, cap), at)
         val tasks = sets.map(GroupTask.of(st, _, th, cfg.heightBound, rngSeed))
-        assert(tasks.map(_.roots.map(_.id)) == sets.map(_.filter(st.isRoot)), at)
+        assert(tasks.map(_.roots.toSeq) == sets.map(_.filter(st.isRoot)), at)
         assert(tasks.forall(k => k.theta == th && k.rngSeed == rngSeed &&
           k.idBase == st.nSupers && k.heightBound == cfg.heightBound), at)
 
@@ -137,6 +139,49 @@ class SluggerSparkSpec extends SparkSpec {
         if (cap == 4) assert(split, "no bucket was split at random")
       }
     }
+  }
+
+  test("one summarize call at T=k runs k+1 Spark jobs: the edge collect and one per iteration") {
+    val sc = spark.sparkContext
+    val edges = GraphGen.cliqueUnion(spark, 8, 6, 30, seed = 7)
+    // every job started from this thread carries the property's value
+    val phase = "repro.test.phase"
+    val started = new LinkedBlockingQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(phase))).foreach(started.put)
+    }
+    def jobsRunBy(tag: String)(body: => Unit): Int = {
+      sc.setLocalProperty(phase, tag)
+      try body finally sc.setLocalProperty(phase, null)
+      // the listener bus is asynchronous, and a marker job started last is
+      // seen after every job the body started
+      sc.setLocalProperty(phase, s"$tag done")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(phase, null)
+      Iterator.continually(started.poll(60, TimeUnit.SECONDS))
+        .map { t => assert(t != null, s"$tag: the marker job never reached the listener"); t }
+        .takeWhile(_ != s"$tag done").count(_ == tag)
+    }
+    sc.addSparkListener(listener)
+    try {
+      for (k <- Seq(1, 4)) {
+        val jobs = jobsRunBy(s"T=$k")(SluggerSpark.summarize(spark, edges, Slugger.Config(T = k)))
+        assert(jobs == k + 1, s"T=$k: $jobs jobs")
+      }
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("an executor's error reaches the driver through the merge job with its message") {
+    // twins 0 and 1 over neighbors 2..5; the driver merges the twins, and
+    // the task's set then also holds merged-away 0, for which it has no record
+    val g = LocalGraph.fromEdges(for (t <- 0 to 1; o <- 2 to 5) yield (t.toLong, o.toLong))
+    val st = new SummaryState(g)
+    new MergeEngine(st).merge(0, 1)
+    val task = GroupTask.of(st, Seq(2, 3, g.n), 0.0, Int.MaxValue, 1L)
+    assert(SluggerSpark.runTasks(spark.sparkContext, Seq(task)).length == 1)
+    val stale = task.copy(roots = task.roots :+ 0)
+    val e = intercept[Exception](SluggerSpark.runTasks(spark.sparkContext, Seq(task, stale)))
+    assert(e.getMessage.contains("candidate set holds 0, which is not a live root"), e.getMessage)
   }
 
   test("distributed SLUGGER rejects maxGroupSize below 2 with a message naming the field") {

@@ -45,6 +45,22 @@ class LocalGraphSpec extends SparkSpec {
     assert(back.edgeSet == g.edgeSet)
   }
 
+  test("fromDF rejects a frame without a src or dst column, naming the column") {
+    import spark.implicits._
+    for ((df, col) <- Seq(Seq((1L, 2L)).toDF("from", "dst") -> "src", Seq((1L, 2L)).toDF("src", "to") -> "dst")) {
+      val e = intercept[IllegalArgumentException](LocalGraph.fromDF(df))
+      assert(e.getMessage.contains(s"BIGINT column $col, found no such column"), e.getMessage)
+    }
+  }
+
+  test("fromDF rejects a src or dst column that is not BIGINT, naming the column and its type") {
+    import spark.implicits._
+    val e = intercept[IllegalArgumentException](LocalGraph.fromDF(Seq((1, 2L)).toDF("src", "dst")))
+    assert(e.getMessage.contains("BIGINT column src, found INT"), e.getMessage)
+    val e2 = intercept[IllegalArgumentException](LocalGraph.fromDF(Seq((1L, "2")).toDF("src", "dst")))
+    assert(e2.getMessage.contains("BIGINT column dst, found STRING"), e2.getMessage)
+  }
+
   test("empty-ish graph handled") {
     val g = LocalGraph.fromEdges(Seq((7L, 7L))) // only a self-loop -> empty
     assert(g.n == 0 && g.m == 0)
